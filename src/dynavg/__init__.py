@@ -31,8 +31,8 @@ from .fda_core import (
     LocalSgd,
     LocalState,
     SketchFda,
-    StepContext,
     Synchronous,
+    SyncStrategy,
     average_states,
     compute_xi,
     fedopt_server_update,
@@ -40,7 +40,6 @@ from .fda_core import (
     h_sketch,
     make_local_state_linear,
     make_local_state_sketch,
-    should_sync,
     variance_exact,
     variance_from_drifts,
 )
@@ -54,7 +53,6 @@ from .learner import (
     loss_and_grad,
     make_blobs,
     make_optimizer,
-    optimize_step,
 )
 from .sketch import (
     AmsSketch,

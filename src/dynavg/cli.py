@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
-import gzip
 import json
+import math
 import os
-import struct
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -37,8 +36,14 @@ from .cluster_sim import (
     RunReport,
     run,
 )
-from .fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
-from .learner import IDX_IMAGES_MAGIC, param_count
+from .fda_core import STRATEGIES
+from .learner import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
+    idx_shape,
+    param_count,
+    read_idx,
+)
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -131,93 +136,60 @@ def _model_dim(mapping: dict, dataset) -> int:
     hidden = int(model.get("hidden", 0))
     if isinstance(dataset, BlobsSpec):
         return param_count(kind, dataset.p, dataset.num_classes, hidden)
-    p = _peek_idx_feature_dim(dataset.train_images)
-    classes = _peek_idx_num_classes(dataset.train_labels)
-    return param_count(kind, p, classes, hidden)
-
-
-def _peek_idx_feature_dim(path: str) -> int:
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as f:
-        header = f.read(16)
-    if len(header) < 16 or struct.unpack(">I", header[:4])[0] != IDX_IMAGES_MAGIC:
-        raise ConfigError(f"not an IDX image file: {path}")
-    _, rows, cols = struct.unpack(">III", header[4:16])
-    return rows * cols
-
-
-def _peek_idx_num_classes(path: str) -> int:
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise ConfigError(f"not an IDX label file: {path}")
-    return int(max(raw[8:])) + 1
-
-
-def _resolve_theta(node: dict, mapping: dict, dataset) -> float:
-    if "theta" in node and "theta_profile" in node:
-        raise ConfigError("give either theta or theta_profile, not both")
-    if "theta" in node:
-        return float(node["theta"])
-    if "theta_profile" in node:
-        return theta_preset(str(node["theta_profile"]),
-                            _model_dim(mapping, dataset))
-    raise ConfigError("variance strategy needs theta or theta_profile")
+    dims = idx_shape(dataset.train_images, IDX_IMAGES_MAGIC, "images")
+    labels = read_idx(dataset.train_labels, IDX_LABELS_MAGIC, "labels")
+    return param_count(kind, math.prod(dims[1:]), int(labels.max()) + 1, hidden)
 
 
 def _parse_strategy(node: dict, mapping: dict, dataset):
     kind = _require(node, "kind", "strategy")
-    if kind == "synchronous":
-        return Synchronous()
-    if kind == "linear-fda":
-        return LinearFda(theta=_resolve_theta(node, mapping, dataset))
-    if kind == "sketch-fda":
-        sk = node.get("sketch", {})
-        return SketchFda(theta=_resolve_theta(node, mapping, dataset),
-                         rows=int(sk.get("rows", 5)),
-                         cols=int(sk.get("cols", 250)),
-                         seed=int(sk.get("seed", 0)))
-    if kind == "local-sgd":
-        return LocalSgd(tau=int(_require(node, "tau", "local-sgd strategy")))
-    if kind == "fedopt":
-        server = node.get("server", {})
-        return FedOpt(
-            server_kind=str(server.get("kind", "sgd-momentum")),
-            server_lr=float(server.get("lr", 0.316)),
-            server_momentum=float(server.get("momentum", 0.9)),
-            server_beta1=float(server.get("beta1", 0.9)),
-            server_beta2=float(server.get("beta2", 0.999)),
-            server_eps=float(server.get("eps", 1e-7)),
-            local_epochs=int(node.get("local_epochs", 1)))
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    if kind not in STRATEGIES:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+
+    def theta() -> float:
+        if "theta" in node and "theta_profile" in node:
+            raise ConfigError("give either theta or theta_profile, not both")
+        if "theta_profile" in node:
+            return theta_preset(str(node["theta_profile"]),
+                                _model_dim(mapping, dataset))
+        return float(_require(node, "theta", f"{kind} strategy"))
+
+    return STRATEGIES[kind].from_node(node, theta)
 
 
 def parse_config(mapping: dict) -> RunConfig:
-    """Build a validated RunConfig from a parsed config mapping."""
+    """Build a validated RunConfig from a parsed config mapping.
+
+    Any missing field or invalid value raises ConfigError.
+    """
     if not isinstance(mapping, dict):
         raise ConfigError("config root must be a mapping")
-    dataset = _parse_dataset(_require(mapping, "dataset", "config"))
-    strategy = _parse_strategy(_require(mapping, "strategy", "config"),
-                               mapping, dataset)
-    model = mapping.get("model", {})
-    output = mapping.get("output", {})
-    config = RunConfig(
-        dataset=dataset,
-        strategy=strategy,
-        workers=int(_require(mapping, "workers", "config")),
-        batch_size=int(_require(mapping, "batch_size", "config")),
-        model_kind=str(model.get("kind", "logistic")),
-        hidden=int(model.get("hidden", 0)),
-        init_scheme=str(model.get("init", "glorot-uniform")),
-        optimizer=_parse_optimizer(mapping.get("optimizer")),
-        partition_scheme=_parse_partition(mapping.get("partition")),
-        accuracy_target=float(mapping.get("accuracy_target", 1.0)),
-        max_epochs=int(mapping.get("max_epochs", 10)),
-        seed=int(mapping.get("seed", 0)),
-        audit_variance=bool(mapping.get("audit_variance", False)),
-        metrics_csv=output.get("metrics_csv"),
-        events_jsonl=output.get("events_jsonl"))
+    try:
+        dataset = _parse_dataset(_require(mapping, "dataset", "config"))
+        strategy = _parse_strategy(_require(mapping, "strategy", "config"),
+                                   mapping, dataset)
+        model = mapping.get("model", {})
+        output = mapping.get("output", {})
+        config = RunConfig(
+            dataset=dataset,
+            strategy=strategy,
+            workers=int(_require(mapping, "workers", "config")),
+            batch_size=int(_require(mapping, "batch_size", "config")),
+            model_kind=str(model.get("kind", "logistic")),
+            hidden=int(model.get("hidden", 0)),
+            init_scheme=str(model.get("init", "glorot-uniform")),
+            optimizer=_parse_optimizer(mapping.get("optimizer")),
+            partition_scheme=_parse_partition(mapping.get("partition")),
+            accuracy_target=float(mapping.get("accuracy_target", 1.0)),
+            max_epochs=int(mapping.get("max_epochs", 10)),
+            seed=int(mapping.get("seed", 0)),
+            audit_variance=bool(mapping.get("audit_variance", False)),
+            metrics_csv=output.get("metrics_csv"),
+            events_jsonl=output.get("events_jsonl"))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
     _validate_config(config)
     return config
 
@@ -229,9 +201,6 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError("batch_size must be >= 1")
     if config.max_epochs < 1:
         raise ConfigError("max_epochs must be >= 1")
-    if isinstance(config.strategy, (SketchFda, LinearFda)):
-        if config.strategy.theta < 0:
-            raise ConfigError("theta must be >= 0")
     if config.model_kind == "mlp" and config.hidden < 1:
         raise ConfigError("mlp model needs hidden >= 1")
 
@@ -242,12 +211,7 @@ def load_config(path: str) -> RunConfig:
             mapping = yaml.safe_load(f)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return parse_config(mapping)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return parse_config(mapping)
 
 
 def config_to_mapping(config: RunConfig) -> dict:
@@ -262,22 +226,6 @@ def config_to_mapping(config: RunConfig) -> dict:
                    "train_labels": ds.train_labels,
                    "test_images": ds.test_images,
                    "test_labels": ds.test_labels}
-    s = config.strategy
-    if isinstance(s, Synchronous):
-        strategy = {"kind": "synchronous"}
-    elif isinstance(s, LinearFda):
-        strategy = {"kind": "linear-fda", "theta": s.theta}
-    elif isinstance(s, SketchFda):
-        strategy = {"kind": "sketch-fda", "theta": s.theta,
-                    "sketch": {"rows": s.rows, "cols": s.cols, "seed": s.seed}}
-    elif isinstance(s, LocalSgd):
-        strategy = {"kind": "local-sgd", "tau": s.tau}
-    else:
-        strategy = {"kind": "fedopt", "local_epochs": s.local_epochs,
-                    "server": {"kind": s.server_kind, "lr": s.server_lr,
-                               "momentum": s.server_momentum,
-                               "beta1": s.server_beta1, "beta2": s.server_beta2,
-                               "eps": s.server_eps}}
     part = config.partition_scheme
     if isinstance(part, Iid):
         partition = {"scheme": "iid"}
@@ -288,7 +236,7 @@ def config_to_mapping(config: RunConfig) -> dict:
                      "holders": part.holders}
     return {
         "dataset": dataset,
-        "strategy": strategy,
+        "strategy": config.strategy.to_node(),
         "model": {"kind": config.model_kind, "hidden": config.hidden,
                   "init": config.init_scheme},
         "optimizer": asdict(config.optimizer),
@@ -363,12 +311,6 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
     return 0 if report.reached_target else 1
 
 
-def _strategy_label(strategy) -> str:
-    return {Synchronous: "synchronous", LinearFda: "linear-fda",
-            SketchFda: "sketch-fda", LocalSgd: "local-sgd",
-            FedOpt: "fedopt"}[type(strategy)]
-
-
 def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
     """Run every config in a directory; aggregate one row per run.
 
@@ -392,7 +334,7 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
                          "status": "failed", "config": name})
             continue
         theta = getattr(config.strategy, "theta", "")
-        rows.append({"strategy": _strategy_label(config.strategy),
+        rows.append({"strategy": config.strategy.label,
                      "theta": theta, "workers": config.workers,
                      "reached_target": report.reached_target,
                      "steps": report.final_steps,

@@ -22,18 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import fda_core, sketch
-from .fda_core import (
-    FedOpt,
-    LinearFda,
-    LocalSgd,
-    LocalState,
-    SketchFda,
-    StepContext,
-    Synchronous,
-    SyncStrategy,
-    should_sync,
-)
+from . import fda_core
+from .fda_core import LocalState, SyncStrategy
 from .learner import (
     Dataset,
     Model,
@@ -92,7 +82,6 @@ PartitionScheme = Union[Iid, NonIidFraction, NonIidLabel]
 @dataclass
 class Partition:
     shards: list  # K index arrays, disjoint, covering the dataset
-    scheme: PartitionScheme
 
 
 def _target_sizes(n: int, k: int) -> list[int]:
@@ -118,7 +107,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
     if isinstance(scheme, Iid):
         perm = rng.permutation(n)
         shards = [perm[i::k] for i in range(k)]
-        return Partition(shards=shards, scheme=scheme)
+        return Partition(shards=shards)
 
     targets = _target_sizes(n, k)
     if isinstance(scheme, NonIidFraction):
@@ -138,8 +127,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
             need = targets[i] - len(shards[i])
             shards[i].extend(rest[pos:pos + need])
             pos += need
-        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards],
-                         scheme=scheme)
+        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards])
 
     if isinstance(scheme, NonIidLabel):
         if scheme.label not in data.labels:
@@ -161,8 +149,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
             need = targets[i] - len(shards[i])
             shards[i].extend(rest[pos:pos + need])
             pos += need
-        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards],
-                         scheme=scheme)
+        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards])
 
     raise TypeError(f"unknown partition scheme {scheme!r}")
 
@@ -173,7 +160,6 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
 class CostLedger:
     bytes_state: int = 0
     bytes_sync: int = 0
-    in_parallel_steps: int = 0
 
     @property
     def bytes_total(self) -> int:
@@ -347,17 +333,14 @@ def _load_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
 def run(config: RunConfig) -> RunReport:
     """Execute one training run and report metrics and costs.
 
-    Per step: every worker samples a batch and optimizes; for variance
-    monitoring strategies the local states are averaged and the model
-    average fires on H > theta.  Fixed-period baselines skip the state
-    exchange.  A zero threshold degenerates to the every-step baseline
-    (monitoring a foregone decision would only add cost), so its ledger
-    matches the synchronous one exactly.  Test accuracy of the average
+    Per step: every worker samples a batch and optimizes, the exact
+    variance is audited if asked, and then the strategy's step hook
+    decides what is exchanged.  The hook sends every payload through
+    `allreduce_average`, which charges the ledger, and may return a new
+    common model that every worker adopts.  Test accuracy of the average
     model is evaluated once per epoch; the run stops when it reaches the
     target or after max_epochs.
     """
-    strategy = config.strategy
-    fda_core.validate_strategy(strategy)
     k = config.workers
     if k < 1:
         raise ValueError("need at least one worker")
@@ -378,47 +361,26 @@ def run(config: RunConfig) -> RunReport:
         for i in range(k)
     ]
     steps_per_epoch = max(w.sampler.batches_per_pass for w in workers)
-
-    monitoring = isinstance(strategy, (SketchFda, LinearFda)) and strategy.theta > 0
-    every_step = isinstance(strategy, Synchronous) or (
-        isinstance(strategy, (SketchFda, LinearFda)) and strategy.theta == 0)
-
-    transform = None
-    eps = 0.0
-    if isinstance(strategy, SketchFda) and monitoring:
-        transform = sketch.make_transform(d, strategy.rows, strategy.cols,
-                                          strategy.seed)
-        eps = strategy.eps
-    xi: fda_core.Xi = None
-    w_sync = model0.params.copy()  # model at the most recent sync point
-    server_opt = None
-    global_params = None
-    if isinstance(strategy, FedOpt):
-        server_opt = fda_core.make_server_optimizer(strategy, d)
-        global_params = model0.params.copy()
+    hook = config.strategy.start(d, model0.params, steps_per_epoch)
 
     ledger = CostLedger()
     step_records: list[StepRecord] = []
     epoch_records: list[EpochRecord] = []
     t = 0
     syncs = 0
-    steps_since_sync = 0
     reached = False
     test_accuracy = 0.0
 
     def current_params() -> list[ParamVector]:
         return [w.model.params for w in workers]
 
-    def set_all(params: ParamVector) -> None:
-        for w in workers:
-            w.model = replace(w.model, params=params.copy())
+    def reduce(payloads: list, category: str):
+        return allreduce_average(payloads, ledger, category)
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []
         for _ in range(steps_per_epoch):
             t += 1
-            ledger.in_parallel_steps += 1
-            steps_since_sync += 1
             losses = []
             for w in workers:
                 batch = w.sampler.next_batch()
@@ -435,53 +397,12 @@ def run(config: RunConfig) -> RunReport:
             if config.audit_variance:
                 variance = fda_core.variance_exact(current_params())
 
-            h_val: Optional[float] = None
-            synced = False
-            if every_step:
-                mean = allreduce_average(current_params(), ledger, "model-sync")
-                set_all(mean)
-                w_sync = mean
-                synced = True
-            elif monitoring:
-                if transform is not None:
-                    states = [fda_core.make_local_state_sketch(
-                        w.model.params - w_sync, transform) for w in workers]
-                else:
-                    states = [fda_core.make_local_state_linear(
-                        w.model.params - w_sync, xi) for w in workers]
-                avg = allreduce_average(states, ledger, "state")
-                h_val = fda_core.h_sketch(avg, eps) if transform is not None \
-                    else fda_core.h_linear(avg)
-                if should_sync(strategy, StepContext(h_value=h_val)):
-                    mean = allreduce_average(current_params(), ledger,
-                                             "model-sync")
-                    set_all(mean)
-                    xi = fda_core.compute_xi(mean, w_sync)
-                    w_sync = mean
-                    synced = True
-            elif isinstance(strategy, LocalSgd):
-                if should_sync(strategy,
-                               StepContext(steps_since_sync=steps_since_sync)):
-                    mean = allreduce_average(current_params(), ledger,
-                                             "model-sync")
-                    set_all(mean)
-                    w_sync = mean
-                    synced = True
-            elif isinstance(strategy, FedOpt):
-                ctx = StepContext(steps_since_sync=steps_since_sync,
-                                  local_epoch_steps=steps_per_epoch)
-                if should_sync(strategy, ctx):
-                    deltas = [w.model.params - global_params for w in workers]
-                    mean_delta = allreduce_average(deltas, ledger, "model-sync")
-                    global_params = fda_core.fedopt_server_update(
-                        global_params, mean_delta, server_opt)
-                    set_all(global_params)
-                    w_sync = global_params
-                    synced = True
-
+            h_val, common = hook(t, current_params(), reduce)
+            synced = common is not None
             if synced:
                 syncs += 1
-                steps_since_sync = 0
+                for w in workers:
+                    w.model = replace(w.model, params=common.copy())
             step_records.append(StepRecord(
                 step=t, synced=synced, h_value=h_val, variance=variance,
                 train_loss=train_loss, bytes_cumulative=ledger.bytes_total))

@@ -11,13 +11,13 @@ H function computed from the averaged states overestimates the variance,
 deterministically for the scalar-projection summary and probabilistically
 for the sketch summary.  Synchronization fires when H exceeds the
 threshold.  Baseline policies (every step, fixed period, periodic server
-optimization) share the same strategy interface.
+optimization) share the same `SyncStrategy` interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -131,35 +131,150 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 
 # --- synchronization strategies -------------------------------------------
 
+# reduce(payloads, category) is the charged AllReduce: it averages one
+# payload per worker and bills the ledger under "state" or "model-sync".
+Reduce = Callable[[list, str], object]
+# hook(t, worker params, reduce) -> (H or None, new common model or None)
+StepHook = Callable[[int, list, Reduce],
+                    tuple[Optional[float], Optional[ParamVector]]]
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _every_step(t: int, params: list, reduce: Reduce):
+    return None, reduce(params, "model-sync")
+
+
+def _variance_monitor(theta, w_sync, make_state, h_of) -> StepHook:
+    """Exchange local states every step; average the models on strict
+    H > theta (ties keep training locally)."""
+    xi: Xi = None
+
+    def hook(t: int, params: list, reduce: Reduce):
+        nonlocal xi, w_sync
+        h = h_of(reduce([make_state(w - w_sync, xi) for w in params], "state"))
+        if not h > theta:
+            return h, None
+        mean = reduce(params, "model-sync")
+        xi = compute_xi(mean, w_sync)
+        w_sync = mean
+        return h, mean
+
+    return hook
+
+
+class SyncStrategy:
+    """A synchronization policy: a frozen config that validates itself,
+    maps to and from its YAML `strategy` node (`kind` is the `label`), and
+    builds a fresh step hook, holding the run's monitor state, per run.
+    A zero threshold degenerates to the every-step hook: monitoring a
+    foregone decision would only add cost."""
+
+    label: ClassVar[str]
+
+    @classmethod
+    def from_node(cls, node: dict, theta: Callable[[], float]):
+        """Build from a strategy node; theta() resolves its threshold."""
+        return cls()
+
+    def to_node(self) -> dict:
+        """Flat strategies use their field names as node keys."""
+        return {"kind": self.label, **asdict(self)}
+
+    def start(self, d: int, w0: ParamVector, steps_per_epoch: int) -> StepHook:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class SketchFda:
+class SketchFda(SyncStrategy):
     theta: float
     rows: int = 5
     cols: int = 250
     seed: int = 0
+    label: ClassVar[str] = "sketch-fda"
+
+    def __post_init__(self) -> None:
+        _check(self.theta >= 0, "theta must be >= 0")
+        _check(self.rows >= 1 and self.cols >= 1,
+               "sketch dimensions must be positive")
 
     @property
     def eps(self) -> float:
         return sk.relative_error(self.cols)
 
+    @classmethod
+    def from_node(cls, node, theta):
+        shape = node.get("sketch", {})
+        return cls(theta=theta(), rows=int(shape.get("rows", cls.rows)),
+                   cols=int(shape.get("cols", cls.cols)),
+                   seed=int(shape.get("seed", cls.seed)))
+
+    def to_node(self):
+        return {"kind": self.label, "theta": self.theta,
+                "sketch": {"rows": self.rows, "cols": self.cols,
+                           "seed": self.seed}}
+
+    def start(self, d, w0, steps_per_epoch):
+        if self.theta == 0:
+            return _every_step
+        transform = sk.make_transform(d, self.rows, self.cols, self.seed)
+        eps = self.eps
+        return _variance_monitor(
+            self.theta, w0, lambda u, xi: make_local_state_sketch(u, transform),
+            lambda avg: h_sketch(avg, eps))
+
 
 @dataclass(frozen=True)
-class LinearFda:
+class LinearFda(SyncStrategy):
     theta: float
+    label: ClassVar[str] = "linear-fda"
+
+    def __post_init__(self) -> None:
+        _check(self.theta >= 0, "theta must be >= 0")
+
+    @classmethod
+    def from_node(cls, node, theta):
+        return cls(theta=theta())
+
+    def start(self, d, w0, steps_per_epoch):
+        if self.theta == 0:
+            return _every_step
+        return _variance_monitor(self.theta, w0, make_local_state_linear,
+                                 h_linear)
 
 
 @dataclass(frozen=True)
-class Synchronous:
-    pass
+class Synchronous(SyncStrategy):
+    label: ClassVar[str] = "synchronous"
+
+    def start(self, d, w0, steps_per_epoch):
+        return _every_step
 
 
 @dataclass(frozen=True)
-class LocalSgd:
+class LocalSgd(SyncStrategy):
     tau: int
+    label: ClassVar[str] = "local-sgd"
+
+    def __post_init__(self) -> None:
+        _check(self.tau >= 1, "tau must be >= 1")
+
+    @classmethod
+    def from_node(cls, node, theta):
+        _check("tau" in node, "local-sgd strategy needs tau")
+        return cls(tau=int(node["tau"]))
+
+    def start(self, d, w0, steps_per_epoch):
+        def hook(t, params, reduce):
+            return None, None if t % self.tau else reduce(params, "model-sync")
+        return hook
 
 
 @dataclass(frozen=True)
-class FedOpt:
+class FedOpt(SyncStrategy):
     """Periodic rounds: E local epochs, then a server-side optimizer step
     on the pseudo-gradient (the negated mean client delta)."""
 
@@ -170,53 +285,50 @@ class FedOpt:
     server_beta2: float = 0.999
     server_eps: float = 1e-7
     local_epochs: int = 1
+    label: ClassVar[str] = "fedopt"
+
+    def __post_init__(self) -> None:
+        _check(self.local_epochs >= 1, "local_epochs must be >= 1")
+        _check(self.server_kind in ("sgd-momentum", "adam"),
+               f"unknown server optimizer {self.server_kind!r}")
+
+    @classmethod
+    def from_node(cls, node, theta):
+        server = node.get("server", {})
+        return cls(
+            server_kind=str(server.get("kind", cls.server_kind)),
+            server_lr=float(server.get("lr", cls.server_lr)),
+            server_momentum=float(server.get("momentum", cls.server_momentum)),
+            server_beta1=float(server.get("beta1", cls.server_beta1)),
+            server_beta2=float(server.get("beta2", cls.server_beta2)),
+            server_eps=float(server.get("eps", cls.server_eps)),
+            local_epochs=int(node.get("local_epochs", cls.local_epochs)))
+
+    def to_node(self):
+        server = {"kind": self.server_kind, "lr": self.server_lr,
+                  "momentum": self.server_momentum, "beta1": self.server_beta1,
+                  "beta2": self.server_beta2, "eps": self.server_eps}
+        return {"kind": self.label, "local_epochs": self.local_epochs,
+                "server": server}
+
+    def start(self, d, w0, steps_per_epoch):
+        period = self.local_epochs * steps_per_epoch
+        server_opt = make_server_optimizer(self, d)
+        w_global = w0
+
+        def hook(t, params, reduce):
+            nonlocal w_global
+            if t % period:
+                return None, None
+            delta = reduce([w - w_global for w in params], "model-sync")
+            w_global = fedopt_server_update(w_global, delta, server_opt)
+            return None, w_global
+
+        return hook
 
 
-SyncStrategy = Union[SketchFda, LinearFda, Synchronous, LocalSgd, FedOpt]
-
-
-def validate_strategy(strategy: SyncStrategy) -> None:
-    if isinstance(strategy, (SketchFda, LinearFda)):
-        if strategy.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if isinstance(strategy, SketchFda) and (strategy.rows < 1 or strategy.cols < 1):
-            raise ValueError("sketch dimensions must be positive")
-    elif isinstance(strategy, LocalSgd):
-        if strategy.tau < 1:
-            raise ValueError("tau must be >= 1")
-    elif isinstance(strategy, FedOpt):
-        if strategy.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
-        if strategy.server_kind not in ("sgd-momentum", "adam"):
-            raise ValueError(f"unknown server optimizer {strategy.server_kind!r}")
-
-
-@dataclass
-class StepContext:
-    """Per-step facts a strategy may condition on."""
-
-    h_value: Optional[float] = None
-    steps_since_sync: int = 0
-    local_epoch_steps: int = 0   # steps making up one local epoch
-
-
-def should_sync(strategy: SyncStrategy, ctx: StepContext) -> bool:
-    """Decide synchronization for this step.
-
-    Variance-monitoring strategies fire on strict H > theta (ties keep
-    training locally); the fixed-period baselines fire on their counters.
-    """
-    if isinstance(strategy, Synchronous):
-        return True
-    if isinstance(strategy, (SketchFda, LinearFda)):
-        if ctx.h_value is None:
-            raise ValueError("variance-monitoring strategy needs an H value")
-        return ctx.h_value > strategy.theta
-    if isinstance(strategy, LocalSgd):
-        return ctx.steps_since_sync == strategy.tau
-    if isinstance(strategy, FedOpt):
-        return ctx.steps_since_sync == strategy.local_epochs * ctx.local_epoch_steps
-    raise TypeError(f"unknown strategy {strategy!r}")
+STRATEGIES = {s.label: s
+              for s in (SketchFda, LinearFda, Synchronous, LocalSgd, FedOpt)}
 
 
 def make_server_optimizer(strategy: FedOpt, d: int) -> OptimizerState:

@@ -18,8 +18,9 @@ synthetic Gaussian-cluster generator.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -269,13 +270,6 @@ def apply_gradient(opt: OptimizerState, params: ParamVector,
     return new
 
 
-def optimize_step(model: Model, opt: OptimizerState, batch: Batch,
-                  data: Dataset) -> Model:
-    """Sample-free wrapper: gradient on the given batch, then one update."""
-    _, grad = loss_and_grad(model, batch, data)
-    return replace(model, params=apply_gradient(opt, model.params, grad))
-
-
 class ShardSampler:
     """Sequential mini-batches over one worker's shard.
 
@@ -318,34 +312,48 @@ class ShardSampler:
         return batch
 
 
-def _read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as f:
-        raw = f.read()
+def _idx_header(f, path: str, expected_magic: int, what: str) -> tuple:
+    """Check an open IDX file's magic number and return its dimensions."""
+    raw = f.read(4)
     if len(raw) < 4:
         raise IdxFormatError(f"{what} file {path} is truncated")
-    magic = struct.unpack(">I", raw[:4])[0]
+    magic = struct.unpack(">I", raw)[0]
     if magic != expected_magic:
         raise IdxFormatError(
             f"{what} file {path} has magic 0x{magic:08x}, "
             f"expected 0x{expected_magic:08x}")
     ndim = magic & 0xFF
-    header = 4 + 4 * ndim
-    if len(raw) < header:
+    raw = f.read(4 * ndim)
+    if len(raw) < 4 * ndim:
         raise IdxFormatError(f"{what} file {path} is truncated")
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = int(np.prod(dims))
-    body = np.frombuffer(raw, dtype=np.uint8, offset=header)
-    if len(body) != count:
-        raise IdxFormatError(
-            f"{what} file {path}: expected {count} bytes, found {len(body)}")
+    return struct.unpack(f">{ndim}I", raw)
+
+
+def _open_idx(path: str):
+    return (gzip.open if str(path).endswith(".gz") else open)(path, "rb")
+
+
+def idx_shape(path: str, expected_magic: int, what: str) -> tuple:
+    """Dimensions of an IDX file, read from its header alone."""
+    with _open_idx(path) as f:
+        return _idx_header(f, path, expected_magic, what)
+
+
+def read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
+    """The uint8 contents of an IDX file, shaped by its header."""
+    with _open_idx(path) as f:
+        dims = _idx_header(f, path, expected_magic, what)
+        body = np.frombuffer(f.read(), dtype=np.uint8)
+    if len(body) != math.prod(dims):
+        raise IdxFormatError(f"{what} file {path}: expected "
+                             f"{math.prod(dims)} bytes, found {len(body)}")
     return body.reshape(dims)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label pair; pixels are scaled into [0, 1]."""
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images")
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
+    images = read_idx(images_path, IDX_IMAGES_MAGIC, "images")
+    labels = read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
     if images.shape[0] != labels.shape[0]:
         raise ValueError(
             f"image count {images.shape[0]} does not match "

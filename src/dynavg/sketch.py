@@ -44,20 +44,12 @@ class SketchTransform:
     buckets: np.ndarray  # (l, d) int64, values in [0, m)
     signs: np.ndarray    # (l, d) float64, values in {-1, +1}
 
-    @property
-    def payload_entries(self) -> int:
-        return self.l * self.m
-
 
 @dataclass
 class AmsSketch:
     """l x m output of a transform; additive in the sketched vector."""
 
     rows: np.ndarray  # (l, m) float64
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
 
 
 def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
@@ -86,10 +78,6 @@ def apply(t: SketchTransform, v: ParamVector) -> AmsSketch:
     for i in range(t.l):
         rows[i] = np.bincount(t.buckets[i], weights=t.signs[i] * v, minlength=t.m)
     return AmsSketch(rows=rows)
-
-
-def zero_sketch(t: SketchTransform) -> AmsSketch:
-    return AmsSketch(rows=np.zeros((t.l, t.m), dtype=np.float64))
 
 
 def _check_same_shape(a: AmsSketch, b: AmsSketch) -> None:

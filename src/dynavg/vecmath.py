@@ -13,14 +13,6 @@ import numpy as np
 ParamVector = np.ndarray
 
 
-def as_vector(values) -> ParamVector:
-    """Coerce a sequence to a 1-D float64 vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
 def _check_same_length(a: ParamVector, b: ParamVector) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -48,24 +40,3 @@ def average(vs: list[ParamVector]) -> ParamVector:
         acc += v
     acc /= len(vs)
     return acc
-
-
-def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """alpha * x + y."""
-    _check_same_length(x, y)
-    return alpha * x + y
-
-
-def scale(alpha: float, x: ParamVector) -> ParamVector:
-    return alpha * x
-
-
-def sub(x: ParamVector, y: ParamVector) -> ParamVector:
-    _check_same_length(x, y)
-    return x - y
-
-
-def ensure_finite(v: ParamVector, context: str = "vector") -> None:
-    """Raise if any entry is NaN or infinite."""
-    if not np.isfinite(v).all():
-        raise FloatingPointError(f"non-finite values in {context}")

@@ -137,6 +137,21 @@ def test_config_round_trip():
         assert again == config
 
 
+@pytest.mark.parametrize("strategy", [
+    {"kind": "local-sgd", "tau": 0},
+    {"kind": "fedopt", "local_epochs": 0},
+    {"kind": "fedopt", "server": {"kind": "yogi"}},
+    {"kind": "sketch-fda", "theta": 0.5, "sketch": {"rows": 0}},
+    {"kind": "linear-fda", "theta": -0.1},
+], ids=["tau-0", "local-epochs-0", "server-yogi", "sketch-rows-0",
+        "negative-theta"])
+def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
+    mapping = base_mapping(strategy=strategy)
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(mapping)
+    assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+
+
 def test_load_config_bad_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("strategy: [unclosed")
@@ -167,6 +182,20 @@ def test_idx_theta_profile_peeks_headers(tmp_path):
     config = cli.parse_config(mapping)
     d = 5 * 6 * 4 + 4  # p from the image header, classes from the labels
     assert config.strategy.theta == pytest.approx(4.91e-5 * d)
+
+
+def test_idx_theta_profile_rejects_image_file_as_labels(tmp_path):
+    from test_learner import write_idx_images
+
+    images = str(tmp_path / "train-i.idx")
+    write_idx_images(images, np.zeros((8, 5, 6), dtype=np.uint8))
+    mapping = base_mapping(
+        dataset={"kind": "idx", "train_images": images,
+                 "train_labels": images, "test_images": images,
+                 "test_labels": images},
+        strategy={"kind": "linear-fda", "theta_profile": "fl"})
+    with pytest.raises(cli.ConfigError, match="magic"):
+        cli.parse_config(mapping)
 
 
 # --- run_experiment ---------------------------------------------------------

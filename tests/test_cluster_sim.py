@@ -196,7 +196,6 @@ def test_synchronous_run_ledger_closed_form():
     assert report.sync_count == report.final_steps
     assert report.final_bytes == report.final_steps * 3 * 4 * d
     assert report.ledger.bytes_state == 0
-    assert report.ledger.in_parallel_steps == report.final_steps
 
 
 def test_linear_fda_ledger_closed_form():
@@ -283,6 +282,29 @@ def test_fedopt_round_cadence_and_bytes():
     assert synced_steps == [2 * steps_per_epoch, 4 * steps_per_epoch,
                             6 * steps_per_epoch]
     assert report.final_bytes == 3 * 3 * 4 * report.model_dim
+    assert report.ledger.bytes_state == 0
+
+
+@dataclasses.dataclass(frozen=True)
+class SyncAtSteps:
+    """Test-only policy: a full model average at fixed steps, nothing else."""
+
+    steps: tuple = (2, 5)
+    label = "sync-at-steps"
+
+    def start(self, d, w0, steps_per_epoch):
+        def hook(t, params, reduce):
+            if t not in self.steps:
+                return None, None
+            return None, reduce(params, "model-sync")
+        return hook
+
+
+def test_run_accepts_any_strategy_with_a_step_hook():
+    report = cs.run(blobs_config(SyncAtSteps(), workers=3, max_epochs=1))
+    assert [r.step for r in report.steps if r.synced] == [2, 5]
+    assert report.sync_count == 2
+    assert report.ledger.bytes_sync == 2 * 3 * 4 * report.model_dim
     assert report.ledger.bytes_state == 0
 
 

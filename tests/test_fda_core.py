@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from dynavg import fda_core, learner, sketch
-from dynavg.fda_core import (
-    FedOpt,
-    LinearFda,
-    LocalSgd,
-    SketchFda,
-    StepContext,
-    Synchronous,
-    should_sync,
-)
+from dynavg import fda_core, learner, sketch, vecmath
+from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
 def random_drifts(rng, k, d):
@@ -242,60 +234,104 @@ def test_compute_xi_unit_norm():
 
 # --- sync policies ----------------------------------------------------------
 
+# Two workers whose drifts from w0 = 0 are e1 and e2.  Before any sync xi
+# is absent, so H = mean ||u||^2 = 1.
+TWO_DRIFTS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+
+def recording_reduce(categories):
+    """Average like the simulator and note each payload category."""
+    def reduce(payloads, category):
+        categories.append(category)
+        if category == "state":
+            return fda_core.average_states(payloads)
+        return vecmath.average(payloads)
+    return reduce
+
+
+def step_once(strategy, params):
+    categories = []
+    hook = strategy.start(len(params[0]), np.zeros(len(params[0])), 1)
+    h, common = hook(1, params, recording_reduce(categories))
+    return h, common, categories
+
+
+def synced_steps(hook, steps):
+    return [t for t in range(1, steps + 1)
+            if hook(t, TWO_DRIFTS, recording_reduce([]))[1] is not None]
+
+
 def test_should_sync_linear_threshold():
-    assert should_sync(LinearFda(theta=0.6), StepContext(h_value=0.75))
-    assert not should_sync(LinearFda(theta=0.8), StepContext(h_value=0.75))
+    h, common, categories = step_once(LinearFda(theta=0.6), TWO_DRIFTS)
+    assert h == 1.0
+    np.testing.assert_array_equal(common, [0.5, 0.5])
+    assert categories == ["state", "model-sync"]
+    h, common, categories = step_once(LinearFda(theta=1.5), TWO_DRIFTS)
+    assert h == 1.0 and common is None
+    assert categories == ["state"]
 
 
 def test_should_sync_tie_does_not_fire():
-    assert not should_sync(LinearFda(theta=0.75), StepContext(h_value=0.75))
+    h, common, _ = step_once(LinearFda(theta=1.0), TWO_DRIFTS)
+    assert h == 1.0 and common is None
 
 
 def test_should_sync_zero_theta_fires_on_any_positive_h():
-    assert should_sync(LinearFda(theta=0.0), StepContext(h_value=1e-9))
-    assert should_sync(SketchFda(theta=0.0), StepContext(h_value=0.5))
+    # theta = 0 degenerates to the every-step hook: no state exchange, and
+    # a sync even where the models already agree.
+    for strategy in (LinearFda(theta=0.0), SketchFda(theta=0.0)):
+        for params in (TWO_DRIFTS, [np.ones(2), np.ones(2)]):
+            h, common, categories = step_once(strategy, params)
+            assert h is None and common is not None
+            assert categories == ["model-sync"]
 
 
 def test_should_sync_synchronous_always():
-    assert should_sync(Synchronous(), StepContext())
+    hook = Synchronous().start(2, np.zeros(2), 1)
+    for t in range(1, 4):
+        categories = []
+        h, common = hook(t, TWO_DRIFTS, recording_reduce(categories))
+        assert h is None and categories == ["model-sync"]
+        np.testing.assert_array_equal(common, [0.5, 0.5])
 
 
 def test_should_sync_local_sgd_counter():
-    strategy = LocalSgd(tau=4)
-    fires = []
-    since = 0
-    for _ in range(12):
-        since += 1
-        fired = should_sync(strategy, StepContext(steps_since_sync=since))
-        fires.append(fired)
-        if fired:
-            since = 0
-    assert fires == [False, False, False, True] * 3
+    hook = LocalSgd(tau=4).start(2, np.zeros(2), 10)
+    assert synced_steps(hook, 12) == [4, 8, 12]
 
 
 def test_should_sync_fedopt_epoch_boundary():
-    strategy = FedOpt(local_epochs=2)
-    ctx = StepContext(steps_since_sync=20, local_epoch_steps=10)
-    assert should_sync(strategy, ctx)
-    assert not should_sync(
-        strategy, StepContext(steps_since_sync=10, local_epoch_steps=10))
+    hook = FedOpt(local_epochs=2).start(2, np.zeros(2), steps_per_epoch=10)
+    assert synced_steps(hook, 45) == [20, 40]
 
 
-def test_should_sync_missing_h_rejected():
-    with pytest.raises(ValueError):
-        should_sync(LinearFda(theta=0.5), StepContext())
+def test_start_builds_fresh_monitor_state():
+    strategy = LinearFda(theta=0.6)
+    hook = strategy.start(2, np.zeros(2), 1)
+    hook(1, TWO_DRIFTS, recording_reduce([]))  # syncs: xi and w_sync move
+    h_after_sync, _ = hook(2, TWO_DRIFTS, recording_reduce([]))
+    h_fresh, _, _ = step_once(strategy, TWO_DRIFTS)
+    assert h_after_sync == pytest.approx(0.5)
+    assert h_fresh == 1.0
 
 
 def test_validate_strategy():
-    with pytest.raises(ValueError):
-        fda_core.validate_strategy(LinearFda(theta=-1.0))
-    with pytest.raises(ValueError):
-        fda_core.validate_strategy(LocalSgd(tau=0))
-    with pytest.raises(ValueError):
-        fda_core.validate_strategy(FedOpt(local_epochs=0))
-    with pytest.raises(ValueError):
-        fda_core.validate_strategy(FedOpt(server_kind="yogi"))
-    fda_core.validate_strategy(LinearFda(theta=0.0))
+    invalid = [
+        lambda: LinearFda(theta=-1.0),
+        lambda: LinearFda(theta=float("nan")),
+        lambda: SketchFda(theta=-1.0),
+        lambda: SketchFda(theta=0.1, rows=0),
+        lambda: SketchFda(theta=0.1, cols=0),
+        lambda: LocalSgd(tau=0),
+        lambda: FedOpt(local_epochs=0),
+        lambda: FedOpt(server_kind="yogi"),
+    ]
+    for make in invalid:
+        with pytest.raises(ValueError):
+            make()
+    LinearFda(theta=0.0)
+    SketchFda(theta=0.0)
+    LocalSgd(tau=1)
 
 
 # --- server optimization ----------------------------------------------------

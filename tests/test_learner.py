@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import math
 import os
@@ -138,7 +139,8 @@ def test_small_step_decreases_batch_loss():
         batch = np.arange(32)
         before, grad = learner.loss_and_grad(model, batch, data)
         assert np.linalg.norm(grad) > 0
-        stepped = learner.optimize_step(model, opt, batch, data)
+        stepped = dataclasses.replace(
+            model, params=learner.apply_gradient(opt, model.params, grad))
         after, _ = learner.loss_and_grad(stepped, batch, data)
         assert after < before
 
@@ -149,8 +151,9 @@ def test_sgd_zero_lr_keeps_parameters():
     data = tiny_data(seed=12)
     model = learner.init_model("logistic", 6, 3, seed=13)
     opt = learner.make_optimizer("sgd", len(model.params), lr=0.0)
-    out = learner.optimize_step(model, opt, np.arange(10), data)
-    np.testing.assert_array_equal(out.params, model.params)
+    _, grad = learner.loss_and_grad(model, np.arange(10), data)
+    out = learner.apply_gradient(opt, model.params, grad)
+    np.testing.assert_array_equal(out, model.params)
 
 
 def test_sgd_update_is_definition():
@@ -158,9 +161,8 @@ def test_sgd_update_is_definition():
     model = learner.init_model("logistic", 6, 3, seed=15)
     _, grad = learner.loss_and_grad(model, np.arange(8), data)
     opt = learner.make_optimizer("sgd", len(model.params), lr=0.1)
-    out = learner.optimize_step(model, opt, np.arange(8), data)
-    np.testing.assert_allclose(out.params, model.params - 0.1 * grad,
-                               rtol=0, atol=0)
+    out = learner.apply_gradient(opt, model.params, grad)
+    np.testing.assert_allclose(out, model.params - 0.1 * grad, rtol=0, atol=0)
 
 
 def test_adam_first_step_closed_form():

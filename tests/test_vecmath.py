@@ -72,23 +72,6 @@ def test_average_does_not_mutate_inputs():
     np.testing.assert_array_equal(a, [1.0, 2.0])
 
 
-def test_axpy_examples():
-    x = np.array([1.0, 2.0])
-    y = np.array([1.0, 1.0])
-    np.testing.assert_array_equal(vecmath.axpy(0.0, x, y), y)
-    np.testing.assert_array_equal(vecmath.axpy(1.0, x, np.zeros(2)), x)
-    np.testing.assert_array_equal(vecmath.axpy(2.0, x, y), [3.0, 5.0])
-    with pytest.raises(ValueError):
-        vecmath.axpy(1.0, np.zeros(2), np.zeros(3))
-
-
-def test_scale_and_sub():
-    np.testing.assert_array_equal(vecmath.scale(2.0, np.array([1.0, -1.0])),
-                                  [2.0, -2.0])
-    np.testing.assert_array_equal(
-        vecmath.sub(np.array([3.0, 1.0]), np.array([1.0, 1.0])), [2.0, 0.0])
-
-
 def test_dot_symmetric_and_bilinear():
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -109,16 +92,3 @@ def test_average_offset_invariance():
     base = vecmath.average(vs)
     shifted = vecmath.average([v + offset for v in vs]) - offset
     np.testing.assert_allclose(shifted, base, rtol=1e-10, atol=1e-10)
-
-
-def test_as_vector_rejects_matrices():
-    with pytest.raises(ValueError):
-        vecmath.as_vector([[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_ensure_finite():
-    vecmath.ensure_finite(np.array([1.0, 2.0]))
-    with pytest.raises(FloatingPointError):
-        vecmath.ensure_finite(np.array([1.0, np.nan]))
-    with pytest.raises(FloatingPointError):
-        vecmath.ensure_finite(np.array([np.inf, 0.0]))
