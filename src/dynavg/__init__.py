@@ -15,7 +15,6 @@ from .cluster_sim import (
     Iid,
     NonIidFraction,
     NonIidLabel,
-    OptimizerSpec,
     Partition,
     RunConfig,
     RunDivergedError,
@@ -46,13 +45,13 @@ from .fda_core import (
 from .learner import (
     Dataset,
     Model,
+    OptimizerSpec,
     OptimizerState,
     evaluate,
     init_model,
     load_idx,
     loss_and_grad,
     make_blobs,
-    make_optimizer,
 )
 from .sketch import (
     AmsSketch,

@@ -40,6 +40,8 @@ from .fda_core import STRATEGIES
 from .learner import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    INIT_SCHEMES,
+    MODEL_KINDS,
     idx_shape,
     param_count,
     read_idx,
@@ -201,8 +203,12 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError("batch_size must be >= 1")
     if config.max_epochs < 1:
         raise ConfigError("max_epochs must be >= 1")
-    if config.model_kind == "mlp" and config.hidden < 1:
-        raise ConfigError("mlp model needs hidden >= 1")
+    if config.model_kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {config.model_kind!r}")
+    if MODEL_KINDS[config.model_kind] and config.hidden < 1:
+        raise ConfigError(f"{config.model_kind} model needs hidden >= 1")
+    if config.init_scheme not in INIT_SCHEMES:
+        raise ConfigError(f"unknown init scheme {config.init_scheme!r}")
 
 
 def load_config(path: str) -> RunConfig:

@@ -17,7 +17,7 @@ through an oracle channel that is never charged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -27,6 +27,7 @@ from .fda_core import LocalState, SyncStrategy
 from .learner import (
     Dataset,
     Model,
+    OptimizerSpec,
     OptimizerState,
     ShardSampler,
     apply_gradient,
@@ -35,7 +36,6 @@ from .learner import (
     load_idx,
     loss_and_grad,
     make_blobs,
-    make_optimizer,
     param_count,
 )
 from .vecmath import ParamVector, average
@@ -69,11 +69,19 @@ class Iid:
 class NonIidFraction:
     percent: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.percent <= 100.0:
+            raise ValueError(f"fraction {self.percent} not in [0, 100]")
+
 
 @dataclass(frozen=True)
 class NonIidLabel:
     label: int
     holders: int = 1
+
+    def __post_init__(self) -> None:
+        if self.holders < 1:
+            raise ValueError(f"holder count {self.holders} must be >= 1")
 
 
 PartitionScheme = Union[Iid, NonIidFraction, NonIidLabel]
@@ -111,8 +119,6 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
 
     targets = _target_sizes(n, k)
     if isinstance(scheme, NonIidFraction):
-        if not 0.0 <= scheme.percent <= 100.0:
-            raise ValueError(f"fraction {scheme.percent} not in [0, 100]")
         n_sorted = round(n * scheme.percent / 100.0)
         perm = rng.permutation(n)
         chosen, rest = perm[:n_sorted], perm[n_sorted:]
@@ -132,8 +138,8 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
     if isinstance(scheme, NonIidLabel):
         if scheme.label not in data.labels:
             raise ValueError(f"label {scheme.label} not present in dataset")
-        if not 1 <= scheme.holders <= k:
-            raise ValueError(f"holder count {scheme.holders} not in [1, {k}]")
+        if scheme.holders > k:
+            raise ValueError(f"holder count {scheme.holders} exceeds {k} workers")
         labelled = np.flatnonzero(data.labels == scheme.label)
         shards = [list(labelled[i::scheme.holders]) for i in range(scheme.holders)]
         shards += [[] for _ in range(k - scheme.holders)]
@@ -222,24 +228,6 @@ class IdxSpec:
 
 
 DatasetSpec = Union[BlobsSpec, IdxSpec]
-
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    kind: str = "sgd"
-    lr: float = 0.01
-    momentum: float = 0.9
-    nesterov: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-
-    def build(self, d: int) -> OptimizerState:
-        return make_optimizer(self.kind, d, self.lr, momentum=self.momentum,
-                              nesterov=self.nesterov, beta1=self.beta1,
-                              beta2=self.beta2, eps=self.eps,
-                              weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -350,18 +338,21 @@ def run(config: RunConfig) -> RunReport:
 
     part = partition(train, k, config.partition_scheme,
                      derive_seed(config.seed, _SEED_PARTITION))
-    model0 = init_model(config.model_kind, train.p, train.num_classes,
-                        config.hidden, init_scheme=config.init_scheme,
-                        seed=derive_seed(config.seed, _SEED_INIT))
+    # The workers' average model; every worker starts from its params.
+    mean_model = init_model(config.model_kind, train.p, train.num_classes,
+                            config.hidden, init_scheme=config.init_scheme,
+                            seed=derive_seed(config.seed, _SEED_INIT))
+    w0 = mean_model.params
     workers = [
-        _Worker(model=replace(model0, params=model0.params.copy()),
+        _Worker(model=Model(config.model_kind, train.p, train.num_classes,
+                            config.hidden, w0.copy()),
                 opt=config.optimizer.build(d),
                 sampler=ShardSampler(part.shards[i], config.batch_size,
                                      config.seed, i))
         for i in range(k)
     ]
     steps_per_epoch = max(w.sampler.batches_per_pass for w in workers)
-    hook = config.strategy.start(d, model0.params, steps_per_epoch)
+    hook = config.strategy.start(d, w0, steps_per_epoch)
 
     ledger = CostLedger()
     step_records: list[StepRecord] = []
@@ -385,8 +376,7 @@ def run(config: RunConfig) -> RunReport:
             for w in workers:
                 batch = w.sampler.next_batch()
                 loss, grad = loss_and_grad(w.model, batch, train)
-                w.model = replace(
-                    w.model, params=apply_gradient(w.opt, w.model.params, grad))
+                w.model.params = apply_gradient(w.opt, w.model.params, grad)
                 losses.append(loss)
             train_loss = sum(losses) / k
             if not math.isfinite(train_loss):
@@ -402,14 +392,15 @@ def run(config: RunConfig) -> RunReport:
             if synced:
                 syncs += 1
                 for w in workers:
-                    w.model = replace(w.model, params=common.copy())
+                    w.model.params = common.copy()
             step_records.append(StepRecord(
                 step=t, synced=synced, h_value=h_val, variance=variance,
                 train_loss=train_loss, bytes_cumulative=ledger.bytes_total))
             epoch_losses.append(train_loss)
 
-        w_bar = average(current_params())  # oracle channel, not charged
-        _, test_accuracy = evaluate(replace(model0, params=w_bar), test)
+        # Read through the oracle channel, never charged.
+        mean_model.params = average(current_params())
+        _, test_accuracy = evaluate(mean_model, test)
         epoch_records.append(EpochRecord(
             epoch=epoch, test_accuracy=test_accuracy,
             train_loss=sum(epoch_losses) / len(epoch_losses),

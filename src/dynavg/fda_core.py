@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 
 from . import sketch as sk
-from .learner import OptimizerState, apply_gradient, make_optimizer
+from .learner import OptimizerSpec, OptimizerState, apply_gradient
 from .vecmath import ParamVector, average, dot, norm_sq
 
 Drift = ParamVector
@@ -311,9 +311,16 @@ class FedOpt(SyncStrategy):
         return {"kind": self.label, "local_epochs": self.local_epochs,
                 "server": server}
 
+    @property
+    def server_optimizer(self) -> OptimizerSpec:
+        return OptimizerSpec(
+            kind=self.server_kind, lr=self.server_lr,
+            momentum=self.server_momentum, beta1=self.server_beta1,
+            beta2=self.server_beta2, eps=self.server_eps)
+
     def start(self, d, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch
-        server_opt = make_server_optimizer(self, d)
+        server_opt = self.server_optimizer.build(d)
         w_global = w0
 
         def hook(t, params, reduce):
@@ -329,15 +336,6 @@ class FedOpt(SyncStrategy):
 
 STRATEGIES = {s.label: s
               for s in (SketchFda, LinearFda, Synchronous, LocalSgd, FedOpt)}
-
-
-def make_server_optimizer(strategy: FedOpt, d: int) -> OptimizerState:
-    if strategy.server_kind == "sgd-momentum":
-        return make_optimizer("sgd-momentum", d, strategy.server_lr,
-                              momentum=strategy.server_momentum)
-    return make_optimizer("adam", d, strategy.server_lr,
-                          beta1=strategy.server_beta1,
-                          beta2=strategy.server_beta2, eps=strategy.server_eps)
 
 
 def fedopt_server_update(global_params: ParamVector,

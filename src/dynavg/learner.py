@@ -1,15 +1,17 @@
 """Small differentiable classifiers with hand-derived gradients.
 
-Two model kinds are supported, both producing softmax class probabilities
-over flattened float64 parameter vectors:
+A model is a stack of dense layers with a ReLU between consecutive layers
+and a softmax over the last layer's outputs.  Its parameters are one flat
+float64 vector holding each layer's weight matrix (row-major, input-index
+major) followed by its bias, layer by layer:
 
-  logistic:  W (p x C), b (C);              layout [W.ravel(), b]
-  mlp:       W1 (p x h), b1 (h), ReLU,
-             W2 (h x C), b2 (C);            layout [W1.ravel(), b1, W2.ravel(), b2]
+  logistic:  one layer p -> C;             layout [W.ravel(), b]
+  mlp:       layers p -> h -> C;           layout [W1.ravel(), b1, W2.ravel(), b2]
 
-Matrices are stored row-major (input-index major).  Local optimizers (SGD,
-SGD with momentum, Adam, AdamW) operate on the flat vector; slot variables
-live next to the step counter in OptimizerState.
+One forward pass and one backward loop serve every kind.  An
+`OptimizerSpec` (SGD, SGD with momentum, Adam, AdamW) describes an
+optimizer; its `build(d)` gives the state that `apply_gradient` advances
+on the flat vector.
 
 Data enters either from IDX image/label files (optionally gzipped) or from a
 synthetic Gaussian-cluster generator.
@@ -29,7 +31,10 @@ from .vecmath import ParamVector
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-MODEL_KINDS = ("logistic", "mlp")
+# The layer-shape table: hidden layers per model kind, each `hidden` wide,
+# between the p inputs and the C outputs.  The only place that says what a
+# model kind is.
+MODEL_KINDS = {"logistic": 0, "mlp": 1}
 OPTIMIZER_KINDS = ("sgd", "sgd-momentum", "adam", "adamw")
 INIT_SCHEMES = ("glorot-uniform", "he-normal")
 
@@ -82,65 +87,54 @@ class Model:
                 f"({expected} for {self.kind})")
 
 
+def _layer_shapes(kind: str, p: int, num_classes: int,
+                  hidden: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each dense layer, input layer first."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    widths = [p] + [hidden] * MODEL_KINDS[kind] + [num_classes]
+    return list(zip(widths[:-1], widths[1:]))
+
+
 def param_count(kind: str, p: int, num_classes: int, hidden: int = 0) -> int:
-    if kind == "logistic":
-        return p * num_classes + num_classes
-    if kind == "mlp":
-        return p * hidden + hidden + hidden * num_classes + num_classes
-    raise ValueError(f"unknown model kind {kind!r}")
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out
+               in _layer_shapes(kind, p, num_classes, hidden))
 
 
-def _unpack_logistic(model: Model):
-    p, c = model.p, model.num_classes
-    w = model.params[:p * c].reshape(p, c)
-    b = model.params[p * c:]
-    return w, b
-
-
-def _unpack_mlp(model: Model):
-    p, c, h = model.p, model.num_classes, model.hidden
-    off = 0
-    w1 = model.params[off:off + p * h].reshape(p, h); off += p * h
-    b1 = model.params[off:off + h]; off += h
-    w2 = model.params[off:off + h * c].reshape(h, c); off += h * c
-    b2 = model.params[off:]
-    return w1, b1, w2, b2
+def _layers(model: Model) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into the flat parameter vector, one pair per layer."""
+    layers, off = [], 0
+    for fan_in, fan_out in _layer_shapes(model.kind, model.p,
+                                         model.num_classes, model.hidden):
+        w = model.params[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        layers.append((w, model.params[off:off + fan_out]))
+        off += fan_out
+    return layers
 
 
 def init_model(kind: str, p: int, num_classes: int, hidden: int = 0,
                init_scheme: str = "glorot-uniform", seed: int = 0) -> Model:
-    """Build a model with seeded weight init; biases start at zero."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    """Build a model with seeded weight init; biases start at zero.
+
+    Weight matrices are drawn in layer order from one seeded stream.
+    """
+    shapes = _layer_shapes(kind, p, num_classes, hidden)
     if init_scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {init_scheme!r}")
-    if p < 1 or num_classes < 2 or (kind == "mlp" and hidden < 1):
+    if num_classes < 2 or min(map(min, shapes)) < 1:
         raise ValueError(f"invalid dims p={p}, C={num_classes}, h={hidden}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def init_matrix(fan_in, fan_out):
+    parts = []
+    for fan_in, fan_out in shapes:
         if init_scheme == "glorot-uniform":
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        std = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-    if kind == "logistic":
-        w = init_matrix(p, num_classes)
-        params = np.concatenate([w.ravel(), np.zeros(num_classes)])
-    else:
-        w1 = init_matrix(p, hidden)
-        w2 = init_matrix(hidden, num_classes)
-        params = np.concatenate([
-            w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(num_classes)])
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        else:
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        parts += [w.ravel(), np.zeros(fan_out)]
     return Model(kind=kind, p=p, num_classes=num_classes, hidden=hidden,
-                 params=params)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+                 params=np.concatenate(parts))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -148,14 +142,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, one simplex row per sample."""
-    if model.kind == "logistic":
-        w, b = _unpack_logistic(model)
-        return _softmax(x @ w + b)
-    w1, b1, w2, b2 = _unpack_mlp(model)
-    a1 = np.maximum(x @ w1 + b1, 0.0)
-    return _softmax(a1 @ w2 + b2)
+def _forward(layers: list, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each layer's input, and log class probabilities of the last layer."""
+    inputs = [x]
+    for w, b in layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return inputs, _log_softmax(inputs[-1] @ w + b)
 
 
 def loss_and_grad(model: Model, batch: Batch, data: Dataset) -> tuple[float, ParamVector]:
@@ -163,31 +156,18 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset) -> tuple[float, Par
     x = data.features[batch]
     y = data.labels[batch]
     nb = len(batch)
-    if model.kind == "logistic":
-        w, b = _unpack_logistic(model)
-        logits = x @ w + b
-        logp = _log_softmax(logits)
-        loss = -float(logp[np.arange(nb), y].mean())
-        dz = np.exp(logp)
-        dz[np.arange(nb), y] -= 1.0
-        dz /= nb
-        grad = np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
-        return loss, grad
-    w1, b1, w2, b2 = _unpack_mlp(model)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    logits = a1 @ w2 + b2
-    logp = _log_softmax(logits)
+    layers = _layers(model)
+    inputs, logp = _forward(layers, x)
     loss = -float(logp[np.arange(nb), y].mean())
-    dz2 = np.exp(logp)
-    dz2[np.arange(nb), y] -= 1.0
-    dz2 /= nb
-    da1 = dz2 @ w2.T
-    dz1 = da1 * (z1 > 0.0)
-    grad = np.concatenate([
-        (x.T @ dz1).ravel(), dz1.sum(axis=0),
-        (a1.T @ dz2).ravel(), dz2.sum(axis=0)])
-    return loss, grad
+    dz = np.exp(logp)
+    dz[np.arange(nb), y] -= 1.0
+    dz /= nb
+    grads = []  # b, W per layer, last layer first
+    for i in reversed(range(len(layers))):
+        grads += [dz.sum(axis=0), (inputs[i].T @ dz).ravel()]
+        if i:  # through the ReLU: its input was positive iff its output is
+            dz = (dz @ layers[i][0].T) * (inputs[i] > 0.0)
+    return loss, np.concatenate(grads[::-1])
 
 
 def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
@@ -195,49 +175,45 @@ def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
 
     Argmax ties break to the lowest class index.
     """
-    logp = None
-    if model.kind == "logistic":
-        w, b = _unpack_logistic(model)
-        logp = _log_softmax(data.features @ w + b)
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(model)
-        a1 = np.maximum(data.features @ w1 + b1, 0.0)
-        logp = _log_softmax(a1 @ w2 + b2)
-    n = data.n
-    loss = -float(logp[np.arange(n), data.labels].mean())
+    _, logp = _forward(_layers(model), data.features)
+    loss = -float(logp[np.arange(data.n), data.labels].mean())
     accuracy = float((logp.argmax(axis=1) == data.labels).mean())
     return loss, accuracy
 
 
-@dataclass
-class OptimizerState:
-    kind: str
-    lr: float
-    momentum: float = 0.0
+@dataclass(frozen=True)
+class OptimizerSpec:
+    """A local or server optimizer's kind and hyperparameters."""
+
+    kind: str = "sgd"
+    lr: float = 0.01
+    momentum: float = 0.9
     nesterov: bool = False
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+
+    def build(self, d: int) -> OptimizerState:
+        """Fresh state for a d-dimensional parameter vector."""
+        slots = {}
+        if self.kind == "sgd-momentum":
+            slots["velocity"] = np.zeros(d)
+        elif self.kind in ("adam", "adamw"):
+            slots["m"] = np.zeros(d)
+            slots["v"] = np.zeros(d)
+        return OptimizerState(spec=self, slots=slots)
+
+
+@dataclass
+class OptimizerState:
+    spec: OptimizerSpec
     step: int = 0
     slots: dict = field(default_factory=dict)
-
-
-def make_optimizer(kind: str, d: int, lr: float, *, momentum: float = 0.0,
-                   nesterov: bool = False, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8,
-                   weight_decay: float = 0.0) -> OptimizerState:
-    if kind not in OPTIMIZER_KINDS:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
-    slots = {}
-    if kind == "sgd-momentum":
-        slots["velocity"] = np.zeros(d)
-    elif kind in ("adam", "adamw"):
-        slots["m"] = np.zeros(d)
-        slots["v"] = np.zeros(d)
-    return OptimizerState(kind=kind, lr=lr, momentum=momentum,
-                          nesterov=nesterov, beta1=beta1, beta2=beta2,
-                          eps=eps, weight_decay=weight_decay, slots=slots)
 
 
 def apply_gradient(opt: OptimizerState, params: ParamVector,
@@ -248,25 +224,26 @@ def apply_gradient(opt: OptimizerState, params: ParamVector,
     flavor stepping along g + mu*v.  Adam applies bias correction; AdamW adds
     decoupled decay lr*wd*w on top of the Adam step.
     """
+    spec = opt.spec
     opt.step += 1
-    if opt.kind == "sgd":
-        return params - opt.lr * grad
-    if opt.kind == "sgd-momentum":
+    if spec.kind == "sgd":
+        return params - spec.lr * grad
+    if spec.kind == "sgd-momentum":
         vel = opt.slots["velocity"]
-        vel *= opt.momentum
+        vel *= spec.momentum
         vel += grad
-        update = grad + opt.momentum * vel if opt.nesterov else vel
-        return params - opt.lr * update
+        update = grad + spec.momentum * vel if spec.nesterov else vel
+        return params - spec.lr * update
     m, v = opt.slots["m"], opt.slots["v"]
-    m *= opt.beta1
-    m += (1.0 - opt.beta1) * grad
-    v *= opt.beta2
-    v += (1.0 - opt.beta2) * grad * grad
-    m_hat = m / (1.0 - opt.beta1 ** opt.step)
-    v_hat = v / (1.0 - opt.beta2 ** opt.step)
-    new = params - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-    if opt.kind == "adamw":
-        new = new - opt.lr * opt.weight_decay * params
+    m *= spec.beta1
+    m += (1.0 - spec.beta1) * grad
+    v *= spec.beta2
+    v += (1.0 - spec.beta2) * grad * grad
+    m_hat = m / (1.0 - spec.beta1 ** opt.step)
+    v_hat = v / (1.0 - spec.beta2 ** opt.step)
+    new = params - spec.lr * m_hat / (np.sqrt(v_hat) + spec.eps)
+    if spec.kind == "adamw":
+        new = new - spec.lr * spec.weight_decay * params
     return new
 
 

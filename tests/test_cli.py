@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"model": {"kind": "cnn"}},
+    {"model": {"kind": "logistic", "init": "zeros"}},
+    {"optimizer": {"kind": "rmsprop", "lr": 0.05}},
+    {"partition": {"scheme": "noniid-fraction", "percent": 150}},
+    {"partition": {"scheme": "noniid-label", "label": 0, "holders": 0}},
+], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
+        "holders-0"])
+def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
+    mapping = base_mapping(**overrides)
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(mapping)
+    assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+
+
 def test_load_config_bad_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("strategy: [unclosed")
@@ -234,8 +250,8 @@ def test_run_experiment_deterministic_outputs(tmp_path):
         code = cli.run_experiment(write_config(tmp_path, mapping,
                                                name=f"{tag}.yaml"))
         assert code in (0, 1)
-        means.append(open(out_csv, "rb").read())
-        events.append(open(out_jsonl, "rb").read())
+        means.append(Path(out_csv).read_bytes())
+        events.append(Path(out_jsonl).read_bytes())
     assert means[0] == means[1]
     assert events[0] == events[1]
 

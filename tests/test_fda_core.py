@@ -337,16 +337,15 @@ def test_validate_strategy():
 # --- server optimization ----------------------------------------------------
 
 def test_fedopt_zero_delta_keeps_global():
-    opt = fda_core.make_server_optimizer(FedOpt(server_kind="sgd-momentum",
-                                                server_lr=0.316,
-                                                server_momentum=0.0), 4)
+    opt = FedOpt(server_kind="sgd-momentum", server_lr=0.316,
+                 server_momentum=0.0).server_optimizer.build(4)
     w = np.array([1.0, -2.0, 0.5, 0.0])
     out = fda_core.fedopt_server_update(w, np.zeros(4), opt)
     np.testing.assert_array_equal(out, w)
 
 
 def test_fedopt_plain_averaging_reduces_to_fedavg():
-    opt = learner.make_optimizer("sgd", 3, lr=1.0)
+    opt = learner.OptimizerSpec(kind="sgd", lr=1.0).build(3)
     w = np.array([1.0, 1.0, 1.0])
     delta = np.array([0.5, -0.5, 0.25])
     out = fda_core.fedopt_server_update(w, delta, opt)
@@ -358,7 +357,7 @@ def test_fedopt_momentum_matches_recurrence():
     rng = np.random.default_rng(12)
     w = rng.standard_normal(d)
     deltas = [rng.standard_normal(d) for _ in range(3)]
-    opt = fda_core.make_server_optimizer(FedOpt(), d)
+    opt = FedOpt().server_optimizer.build(d)
     got = w
     for delta in deltas:
         got = fda_core.fedopt_server_update(got, delta, opt)
@@ -371,6 +370,5 @@ def test_fedopt_momentum_matches_recurrence():
 
 
 def test_fedopt_adam_server_builds():
-    opt = fda_core.make_server_optimizer(
-        FedOpt(server_kind="adam", server_lr=0.001), 6)
-    assert opt.kind == "adam" and opt.eps == 1e-7
+    opt = FedOpt(server_kind="adam", server_lr=0.001).server_optimizer.build(6)
+    assert opt.spec.kind == "adam" and opt.spec.eps == 1e-7

@@ -30,6 +30,104 @@ def finite_difference_grad(model, batch, data, step=1e-5):
     return grad
 
 
+# --- reference formulas -----------------------------------------------------
+# The per-kind forward and backward passes written out by hand.  The shared
+# dense-layer pass in `learner` must reproduce them bit for bit.
+
+def ref_unpack(model):
+    p, c, h = model.p, model.num_classes, model.hidden
+    if model.kind == "logistic":
+        return model.params[:p * c].reshape(p, c), model.params[p * c:]
+    off = 0
+    w1 = model.params[off:off + p * h].reshape(p, h); off += p * h
+    b1 = model.params[off:off + h]; off += h
+    w2 = model.params[off:off + h * c].reshape(h, c); off += h * c
+    return w1, b1, w2, model.params[off:]
+
+
+def ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def ref_loss_and_grad(model, batch, data):
+    x = data.features[batch]
+    y = data.labels[batch]
+    nb = len(batch)
+    if model.kind == "logistic":
+        w, b = ref_unpack(model)
+        logp = ref_log_softmax(x @ w + b)
+        loss = -float(logp[np.arange(nb), y].mean())
+        dz = np.exp(logp)
+        dz[np.arange(nb), y] -= 1.0
+        dz /= nb
+        return loss, np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
+    w1, b1, w2, b2 = ref_unpack(model)
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    logp = ref_log_softmax(a1 @ w2 + b2)
+    loss = -float(logp[np.arange(nb), y].mean())
+    dz2 = np.exp(logp)
+    dz2[np.arange(nb), y] -= 1.0
+    dz2 /= nb
+    dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+    return loss, np.concatenate([
+        (x.T @ dz1).ravel(), dz1.sum(axis=0),
+        (a1.T @ dz2).ravel(), dz2.sum(axis=0)])
+
+
+def ref_evaluate(model, data):
+    if model.kind == "logistic":
+        w, b = ref_unpack(model)
+        logp = ref_log_softmax(data.features @ w + b)
+    else:
+        w1, b1, w2, b2 = ref_unpack(model)
+        a1 = np.maximum(data.features @ w1 + b1, 0.0)
+        logp = ref_log_softmax(a1 @ w2 + b2)
+    loss = -float(logp[np.arange(data.n), data.labels].mean())
+    return loss, float((logp.argmax(axis=1) == data.labels).mean())
+
+
+def ref_init_params(kind, p, c, h, scheme, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def matrix(fan_in, fan_out):
+        if scheme == "glorot-uniform":
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+
+    if kind == "logistic":
+        return np.concatenate([matrix(p, c).ravel(), np.zeros(c)])
+    w1 = matrix(p, h)
+    w2 = matrix(h, c)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+
+
+@pytest.mark.parametrize("kind,p,classes,hidden",
+                         [("logistic", 20, 3, 0), ("mlp", 7, 3, 5),
+                          ("mlp", 30, 4, 12)])
+@pytest.mark.parametrize("scheme", learner.INIT_SCHEMES)
+def test_dense_pass_matches_reference(kind, p, classes, hidden, scheme):
+    data = tiny_data(n=50, p=p, classes=classes, seed=24)
+    rng = np.random.default_rng(25)
+    for seed in range(5):
+        model = learner.init_model(kind, p, classes, hidden,
+                                   init_scheme=scheme, seed=seed)
+        assert np.array_equal(
+            model.params, ref_init_params(kind, p, classes, hidden, scheme,
+                                          seed))
+        # Random parameters too, so dead ReLUs and large logits occur.
+        for params in (model.params, rng.standard_normal(len(model.params))):
+            m = learner.Model(kind, p, classes, hidden, params)
+            batch = rng.permutation(data.n)[:16]
+            loss, grad = learner.loss_and_grad(m, batch, data)
+            ref_loss, ref_grad = ref_loss_and_grad(m, batch, data)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            assert learner.evaluate(m, data) == ref_evaluate(m, data)
+
+
 # --- model construction -----------------------------------------------------
 
 def test_logistic_param_count():
@@ -115,15 +213,6 @@ def test_duplicated_batch_invariance():
     np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
-def test_softmax_rows_sum_to_one():
-    data = tiny_data(n=25, p=6, classes=4, seed=6)
-    for kind, hidden in (("logistic", 0), ("mlp", 7)):
-        model = learner.init_model(kind, 6, 4, hidden, seed=7)
-        probs = learner.forward(model, data.features)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-        assert (probs >= 0).all()
-
-
 def test_loss_nonnegative():
     data = tiny_data(seed=9)
     model = learner.init_model("mlp", 6, 3, hidden=5, seed=9)
@@ -135,7 +224,7 @@ def test_small_step_decreases_batch_loss():
     data = tiny_data(n=64, p=8, classes=3, seed=10)
     for kind, hidden in (("logistic", 0), ("mlp", 6)):
         model = learner.init_model(kind, 8, 3, hidden, seed=11)
-        opt = learner.make_optimizer("sgd", len(model.params), lr=1e-4)
+        opt = learner.OptimizerSpec(kind="sgd", lr=1e-4).build(len(model.params))
         batch = np.arange(32)
         before, grad = learner.loss_and_grad(model, batch, data)
         assert np.linalg.norm(grad) > 0
@@ -150,7 +239,7 @@ def test_small_step_decreases_batch_loss():
 def test_sgd_zero_lr_keeps_parameters():
     data = tiny_data(seed=12)
     model = learner.init_model("logistic", 6, 3, seed=13)
-    opt = learner.make_optimizer("sgd", len(model.params), lr=0.0)
+    opt = learner.OptimizerSpec(kind="sgd", lr=0.0).build(len(model.params))
     _, grad = learner.loss_and_grad(model, np.arange(10), data)
     out = learner.apply_gradient(opt, model.params, grad)
     np.testing.assert_array_equal(out, model.params)
@@ -160,7 +249,7 @@ def test_sgd_update_is_definition():
     data = tiny_data(seed=14)
     model = learner.init_model("logistic", 6, 3, seed=15)
     _, grad = learner.loss_and_grad(model, np.arange(8), data)
-    opt = learner.make_optimizer("sgd", len(model.params), lr=0.1)
+    opt = learner.OptimizerSpec(kind="sgd", lr=0.1).build(len(model.params))
     out = learner.apply_gradient(opt, model.params, grad)
     np.testing.assert_allclose(out, model.params - 0.1 * grad, rtol=0, atol=0)
 
@@ -170,7 +259,7 @@ def test_adam_first_step_closed_form():
     rng = np.random.default_rng(16)
     params = rng.standard_normal(d)
     grad = rng.standard_normal(d)
-    opt = learner.make_optimizer("adam", d, lr=0.01)
+    opt = learner.OptimizerSpec(kind="adam", lr=0.01).build(d)
     new = learner.apply_gradient(opt, params, grad)
     # From zero moments: m_hat = g, v_hat = g^2.
     expected = params - 0.01 * grad / (np.abs(grad) + 1e-8)
@@ -182,8 +271,8 @@ def test_adam_two_steps_match_recurrence():
     rng = np.random.default_rng(17)
     params = rng.standard_normal(d)
     grads = [rng.standard_normal(d) for _ in range(2)]
-    opt = learner.make_optimizer("adam", d, lr=0.05, beta1=0.9, beta2=0.999,
-                                 eps=1e-8)
+    opt = learner.OptimizerSpec(kind="adam", lr=0.05, beta1=0.9, beta2=0.999,
+                                eps=1e-8).build(d)
     got = params
     for g in grads:
         got = learner.apply_gradient(opt, got, g)
@@ -203,8 +292,8 @@ def test_momentum_matches_recurrence(nesterov):
     rng = np.random.default_rng(18)
     params = rng.standard_normal(d)
     grads = [rng.standard_normal(d) for _ in range(3)]
-    opt = learner.make_optimizer("sgd-momentum", d, lr=0.1, momentum=0.9,
-                                 nesterov=nesterov)
+    opt = learner.OptimizerSpec(kind="sgd-momentum", lr=0.1, momentum=0.9,
+                                nesterov=nesterov).build(d)
     got = params
     for g in grads:
         got = learner.apply_gradient(opt, got, g)
@@ -221,8 +310,9 @@ def test_adamw_decoupled_decay():
     rng = np.random.default_rng(19)
     params = rng.standard_normal(d)
     grad = rng.standard_normal(d)
-    plain = learner.make_optimizer("adam", d, lr=0.01)
-    decayed = learner.make_optimizer("adamw", d, lr=0.01, weight_decay=0.1)
+    plain = learner.OptimizerSpec(kind="adam", lr=0.01).build(d)
+    decayed = learner.OptimizerSpec(kind="adamw", lr=0.01,
+                                    weight_decay=0.1).build(d)
     base = learner.apply_gradient(plain, params, grad)
     got = learner.apply_gradient(decayed, params, grad)
     np.testing.assert_allclose(got, base - 0.01 * 0.1 * params, rtol=1e-12)
@@ -230,7 +320,7 @@ def test_adamw_decoupled_decay():
 
 def test_unknown_optimizer_rejected():
     with pytest.raises(ValueError):
-        learner.make_optimizer("rmsprop", 5, lr=0.1)
+        learner.OptimizerSpec(kind="rmsprop", lr=0.1)
 
 
 # --- evaluation -------------------------------------------------------------
