@@ -209,6 +209,15 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"{config.model_kind} model needs hidden >= 1")
     if config.init_scheme not in INIT_SCHEMES:
         raise ConfigError(f"unknown init scheme {config.init_scheme!r}")
+    part = config.partition_scheme
+    if isinstance(part, NonIidLabel):
+        if part.holders > config.workers:
+            raise ConfigError(f"partition holders ({part.holders}) exceed "
+                              f"workers ({config.workers})")
+        ds = config.dataset
+        if isinstance(ds, BlobsSpec) and not 0 <= part.label < ds.num_classes:
+            raise ConfigError(f"partition label {part.label} not in "
+                              f"[0, {ds.num_classes})")
 
 
 def load_config(path: str) -> RunConfig:

@@ -28,7 +28,6 @@ from .learner import (
     Dataset,
     Model,
     OptimizerSpec,
-    OptimizerState,
     ShardSampler,
     apply_gradient,
     evaluate,
@@ -173,28 +172,37 @@ class CostLedger:
 
 
 def payload_bytes(payload) -> int:
-    """Wire size of one worker's payload under the 4-byte-entry model."""
+    """Wire size of one worker's payload under the 4-byte-entry model.
+
+    A stacked payload (the rows of a (K, d) matrix, or K workers' states in
+    one LocalState) is measured per worker.
+    """
     if isinstance(payload, np.ndarray):
-        return WIRE_BYTES_PER_ENTRY * payload.size
+        return WIRE_BYTES_PER_ENTRY * payload.shape[-1]
     if isinstance(payload, LocalState):
         if payload.is_sketch:
-            return WIRE_BYTES_PER_ENTRY * (payload.summary.rows.size + 1)
+            rows, cols = payload.summary.rows.shape[-2:]
+            return WIRE_BYTES_PER_ENTRY * (rows * cols + 1)
         return WIRE_BYTES_PER_ENTRY * 2
     raise TypeError(f"unsupported payload {type(payload)!r}")
 
 
-def allreduce_average(payloads: list, ledger: CostLedger,
+def allreduce_average(payloads, ledger: CostLedger,
                       category: Optional[str] = None):
     """Average K same-kind payloads and charge K * payload_bytes.
 
-    Vectors are averaged elementwise in ascending worker order; local
-    states average their norm and summary components.  Category defaults
-    to "model-sync" for vectors and "state" for local states.
+    Payloads are a list of per-worker vectors or states, the rows of a
+    (K, d) matrix, or one LocalState stacking K workers' states.  Vectors
+    are averaged elementwise in ascending worker order; local states
+    average their norm and summary components.  Category defaults to
+    "model-sync" for vectors and "state" for local states.
     """
-    if len(payloads) == 0:
+    stacked = isinstance(payloads, LocalState)
+    k = payloads.workers if stacked else len(payloads)
+    if k == 0:
         raise ValueError("allreduce over an empty payload list")
-    first = payloads[0]
-    cost = len(payloads) * payload_bytes(first)
+    first = payloads if stacked else payloads[0]
+    cost = k * payload_bytes(first)
     if category is None:
         category = "model-sync" if isinstance(first, np.ndarray) else "state"
     if category == "state":
@@ -291,13 +299,6 @@ class RunReport:
 
 # --- the training loop ------------------------------------------------------
 
-@dataclass
-class _Worker:
-    model: Model
-    opt: OptimizerState
-    sampler: ShardSampler
-
-
 def _load_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
     ds = config.dataset
     if isinstance(ds, BlobsSpec):
@@ -321,11 +322,17 @@ def _load_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
 def run(config: RunConfig) -> RunReport:
     """Execute one training run and report metrics and costs.
 
-    Per step: every worker samples a batch and optimizes, the exact
-    variance is audited if asked, and then the strategy's step hook
-    decides what is exchanged.  The hook sends every payload through
-    `allreduce_average`, which charges the ledger, and may return a new
-    common model that every worker adopts.  Test accuracy of the average
+    The K worker models are the rows of one (K, d) float64 matrix, held as
+    the params of a single `Model`, with the optimizer slots shaped
+    (K, d) alike.  Per step, in lock-step: each worker's `ShardSampler`
+    yields one row of a (K, b) batch; one `loss_and_grad` call computes all
+    K gradients into a preallocated (K, d) buffer; one `apply_gradient`
+    call updates the matrix in place; the exact variance is audited if
+    asked; and the strategy's step hook, called as hook(t, matrix, reduce),
+    builds all K local states at once and decides what is exchanged.  The
+    hook sends every payload through `allreduce_average`, which charges the
+    ledger K times the per-worker payload, and may return a new common
+    model, which is copied into every row.  Test accuracy of the average
     model is evaluated once per epoch; the run stops when it reaches the
     target or after max_epochs.
     """
@@ -343,15 +350,13 @@ def run(config: RunConfig) -> RunReport:
                             config.hidden, init_scheme=config.init_scheme,
                             seed=derive_seed(config.seed, _SEED_INIT))
     w0 = mean_model.params
-    workers = [
-        _Worker(model=Model(config.model_kind, train.p, train.num_classes,
-                            config.hidden, w0.copy()),
-                opt=config.optimizer.build(d),
-                sampler=ShardSampler(part.shards[i], config.batch_size,
-                                     config.seed, i))
-        for i in range(k)
-    ]
-    steps_per_epoch = max(w.sampler.batches_per_pass for w in workers)
+    workers = Model(config.model_kind, train.p, train.num_classes,
+                    config.hidden, np.tile(w0, (k, 1)))
+    opt = config.optimizer.build((k, d))
+    grad = np.empty((k, d))
+    samplers = [ShardSampler(part.shards[i], config.batch_size, config.seed, i)
+                for i in range(k)]
+    steps_per_epoch = max(s.batches_per_pass for s in samplers)
     hook = config.strategy.start(d, w0, steps_per_epoch)
 
     ledger = CostLedger()
@@ -362,44 +367,37 @@ def run(config: RunConfig) -> RunReport:
     reached = False
     test_accuracy = 0.0
 
-    def current_params() -> list[ParamVector]:
-        return [w.model.params for w in workers]
-
-    def reduce(payloads: list, category: str):
+    def reduce(payloads, category: str):
         return allreduce_average(payloads, ledger, category)
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []
         for _ in range(steps_per_epoch):
             t += 1
-            losses = []
-            for w in workers:
-                batch = w.sampler.next_batch()
-                loss, grad = loss_and_grad(w.model, batch, train)
-                w.model.params = apply_gradient(w.opt, w.model.params, grad)
-                losses.append(loss)
-            train_loss = sum(losses) / k
+            batch = np.stack([s.next_batch() for s in samplers])
+            losses, _ = loss_and_grad(workers, batch, train, out=grad)
+            apply_gradient(opt, workers.params, grad)
+            train_loss = sum(losses.tolist()) / k
             if not math.isfinite(train_loss):
                 raise RunDivergedError(
                     f"non-finite training loss at step {t}")
 
             variance = None
             if config.audit_variance:
-                variance = fda_core.variance_exact(current_params())
+                variance = fda_core.variance_exact(workers.params)
 
-            h_val, common = hook(t, current_params(), reduce)
+            h_val, common = hook(t, workers.params, reduce)
             synced = common is not None
             if synced:
                 syncs += 1
-                for w in workers:
-                    w.model.params = common.copy()
+                workers.params[:] = common
             step_records.append(StepRecord(
                 step=t, synced=synced, h_value=h_val, variance=variance,
                 train_loss=train_loss, bytes_cumulative=ledger.bytes_total))
             epoch_losses.append(train_loss)
 
         # Read through the oracle channel, never charged.
-        mean_model.params = average(current_params())
+        mean_model.params = average(workers.params)
         _, test_accuracy = evaluate(mean_model, test)
         epoch_records.append(EpochRecord(
             epoch=epoch, test_accuracy=test_accuracy,
@@ -416,4 +414,4 @@ def run(config: RunConfig) -> RunReport:
         final_epochs=len(epoch_records), final_bytes=ledger.bytes_total,
         sync_count=syncs, reached_target=reached,
         final_test_accuracy=test_accuracy,
-        final_mean_params=average(current_params()))
+        final_mean_params=average(workers.params))

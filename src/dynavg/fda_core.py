@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sketch as sk
 from .learner import OptimizerSpec, OptimizerState, apply_gradient
-from .vecmath import ParamVector, average, dot, norm_sq
+from .vecmath import ParamVector, average, dot, norm_sq, ordered_sum
 
 Drift = ParamVector
 
@@ -36,14 +36,24 @@ XI_DEGENERATE_NORM = 1e-12
 
 @dataclass
 class LocalState:
-    """Per-worker pair (||u||^2, summary); mergeable by averaging."""
+    """Per-worker pair (||u||^2, summary); mergeable by averaging.
 
-    drift_norm_sq: float
-    summary: Union[sk.AmsSketch, float]
+    Built from a (K, d) drift matrix it holds all K workers' pairs: a (K,)
+    norm array and either a (K,) projection array or a sketch with
+    (K, l, m) rows.
+    """
+
+    drift_norm_sq: Union[float, np.ndarray]
+    summary: Union[sk.AmsSketch, float, np.ndarray]
 
     @property
     def is_sketch(self) -> bool:
         return isinstance(self.summary, sk.AmsSketch)
+
+    @property
+    def workers(self) -> int:
+        """How many workers' states this holds (1 for a single pair)."""
+        return int(np.size(self.drift_norm_sq))
 
 
 @dataclass
@@ -56,15 +66,14 @@ class AveragedState:
         return isinstance(self.mean_summary, sk.AmsSketch)
 
 
-def variance_exact(models: list[ParamVector]) -> float:
-    """Mean squared distance of the vectors from their average."""
+def variance_exact(models) -> float:
+    """Mean squared distance of K vectors (a list or the rows of a (K, d)
+    matrix) from their average; the K squared norms add in ascending
+    order."""
+    models = np.asarray(models, dtype=np.float64)
     if len(models) == 0:
         raise ValueError("variance of an empty list")
-    mean = average(models)
-    total = 0.0
-    for w in models:
-        total += norm_sq(w - mean)
-    return total / len(models)
+    return float(ordered_sum(norm_sq(models - average(models)))) / len(models)
 
 
 def variance_from_drifts(mean_drift_norm_sq: float,
@@ -74,30 +83,46 @@ def variance_from_drifts(mean_drift_norm_sq: float,
 
 
 def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
+    """The state of one drift (d,), or of each row of a (K, d) matrix."""
     return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, u))
 
 
 def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
-    summary = 0.0 if xi is None else dot(xi, u)
+    """The state of one drift (d,), or of each row of a (K, d) matrix."""
+    # Without xi the projection is 0.0, or K zeros for a matrix.
+    summary = np.zeros(u.shape[:-1])[()] if xi is None else dot(u, xi)
     return LocalState(drift_norm_sq=norm_sq(u), summary=summary)
 
 
-def average_states(states: list[LocalState]) -> AveragedState:
-    """Elementwise mean of same-kind states, in ascending list order."""
+def _stack(states: list[LocalState]) -> LocalState:
+    """K single-worker states as one stacked state."""
     if len(states) == 0:
         raise ValueError("average of an empty state list")
     kinds = {s.is_sketch for s in states}
     if len(kinds) != 1:
         raise ValueError("cannot average sketch and scalar states together")
-    k = len(states)
-    mean_norm = sum(s.drift_norm_sq for s in states) / k
-    if states[0].is_sketch:
-        acc = states[0].summary
-        for s in states[1:]:
-            acc = sk.sketch_add(acc, s.summary)
-        mean_summary: Union[sk.AmsSketch, float] = sk.sketch_scale(1.0 / k, acc)
+    summary = (sk.AmsSketch(rows=np.stack([s.summary.rows for s in states]))
+               if states[0].is_sketch
+               else np.array([s.summary for s in states], dtype=np.float64))
+    return LocalState(
+        drift_norm_sq=np.array([s.drift_norm_sq for s in states],
+                               dtype=np.float64),
+        summary=summary)
+
+
+def average_states(states) -> AveragedState:
+    """Elementwise mean of K same-kind states, in ascending worker order.
+
+    Takes a list of single-worker states or one stacked state."""
+    if not isinstance(states, LocalState):
+        states = _stack(states)
+    k = states.workers
+    mean_norm = sum(states.drift_norm_sq.tolist()) / k
+    if states.is_sketch:
+        mean_summary: Union[sk.AmsSketch, float] = sk.sketch_scale(
+            1.0 / k, sk.AmsSketch(rows=ordered_sum(states.summary.rows)))
     else:
-        mean_summary = sum(s.summary for s in states) / k
+        mean_summary = sum(states.summary.tolist()) / k
     return AveragedState(mean_drift_norm_sq=mean_norm, mean_summary=mean_summary)
 
 
@@ -132,10 +157,13 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 # --- synchronization strategies -------------------------------------------
 
 # reduce(payloads, category) is the charged AllReduce: it averages one
-# payload per worker and bills the ledger under "state" or "model-sync".
-Reduce = Callable[[list, str], object]
-# hook(t, worker params, reduce) -> (H or None, new common model or None)
-StepHook = Callable[[int, list, Reduce],
+# payload per worker (the rows of a (K, d) matrix, or K workers' states in
+# one stacked LocalState) and bills the ledger under "state" or
+# "model-sync".
+Reduce = Callable[[object, str], object]
+# hook(t, (K, d) worker params, reduce) -> (H or None, new common model or
+# None).  The hook reads the matrix and must not keep or modify it.
+StepHook = Callable[[int, np.ndarray, Reduce],
                     tuple[Optional[float], Optional[ParamVector]]]
 
 
@@ -144,7 +172,7 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _every_step(t: int, params: list, reduce: Reduce):
+def _every_step(t: int, params: np.ndarray, reduce: Reduce):
     return None, reduce(params, "model-sync")
 
 
@@ -153,9 +181,9 @@ def _variance_monitor(theta, w_sync, make_state, h_of) -> StepHook:
     H > theta (ties keep training locally)."""
     xi: Xi = None
 
-    def hook(t: int, params: list, reduce: Reduce):
+    def hook(t: int, params: np.ndarray, reduce: Reduce):
         nonlocal xi, w_sync
-        h = h_of(reduce([make_state(w - w_sync, xi) for w in params], "state"))
+        h = h_of(reduce(make_state(params - w_sync, xi), "state"))
         if not h > theta:
             return h, None
         mean = reduce(params, "model-sync")
@@ -327,7 +355,7 @@ class FedOpt(SyncStrategy):
             nonlocal w_global
             if t % period:
                 return None, None
-            delta = reduce([w - w_global for w in params], "model-sync")
+            delta = reduce(params - w_global, "model-sync")
             w_global = fedopt_server_update(w_global, delta, server_opt)
             return None, w_global
 
@@ -346,4 +374,4 @@ def fedopt_server_update(global_params: ParamVector,
     With a plain SGD server at lr 1 this reduces to averaging the client
     models (global + mean delta).
     """
-    return apply_gradient(server_opt, global_params, -mean_client_delta)
+    return apply_gradient(server_opt, global_params.copy(), -mean_client_delta)

@@ -8,10 +8,14 @@ major) followed by its bias, layer by layer:
   logistic:  one layer p -> C;             layout [W.ravel(), b]
   mlp:       layers p -> h -> C;           layout [W1.ravel(), b1, W2.ravel(), b2]
 
-One forward pass and one backward loop serve every kind.  An
-`OptimizerSpec` (SGD, SGD with momentum, Adam, AdamW) describes an
-optimizer; its `build(d)` gives the state that `apply_gradient` advances
-on the flat vector.
+One forward pass and one backward loop serve every kind.  A model's params
+may also be a (K, d) matrix holding K models of one layout, one per row:
+`loss_and_grad` then takes a (K, b) batch, one row of sample indices per
+model, and runs every layer as one stacked matmul over the leading axis,
+which rounds exactly as K separate calls would.  An `OptimizerSpec` (SGD,
+SGD with momentum, Adam, AdamW) describes an optimizer; its `build(shape)`
+gives the state that `apply_gradient` advances in place on a vector or on
+all rows of a matrix at once.
 
 Data enters either from IDX image/label files (optionally gzipped) or from a
 synthetic Gaussian-cluster generator.
@@ -23,6 +27,7 @@ import gzip
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +73,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-Batch = np.ndarray  # index array into a Dataset
+Batch = np.ndarray  # index array into a Dataset; (K, b) for K stacked models
 
 
 @dataclass
@@ -77,14 +82,14 @@ class Model:
     p: int
     num_classes: int
     hidden: int
-    params: ParamVector
+    params: ParamVector  # (d,), or (K, d) for K models of this layout
 
     def __post_init__(self) -> None:
         expected = param_count(self.kind, self.p, self.num_classes, self.hidden)
-        if len(self.params) != expected:
+        if self.params.shape[-1] != expected:
             raise ValueError(
-                f"parameter length {len(self.params)} does not match layout "
-                f"({expected} for {self.kind})")
+                f"parameter length {self.params.shape[-1]} does not match "
+                f"layout ({expected} for {self.kind})")
 
 
 def _layer_shapes(kind: str, p: int, num_classes: int,
@@ -101,14 +106,16 @@ def param_count(kind: str, p: int, num_classes: int, hidden: int = 0) -> int:
                in _layer_shapes(kind, p, num_classes, hidden))
 
 
-def _layers(model: Model) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views into the flat parameter vector, one pair per layer."""
+def _layers(model: Model, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into a flat (..., d) array laid out like the model's
+    parameters, one pair per layer; leading axes are kept."""
+    lead = flat.shape[:-1]
     layers, off = [], 0
     for fan_in, fan_out in _layer_shapes(model.kind, model.p,
                                          model.num_classes, model.hidden):
-        w = model.params[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = flat[..., off:off + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         off += fan_in * fan_out
-        layers.append((w, model.params[off:off + fan_out]))
+        layers.append((w, flat[..., off:off + fan_out]))
         off += fan_out
     return layers
 
@@ -138,36 +145,53 @@ def init_model(kind: str, p: int, num_classes: int, hidden: int = 0,
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _forward(layers: list, x: np.ndarray) -> tuple[list, np.ndarray]:
-    """Each layer's input, and log class probabilities of the last layer."""
+    """Each layer's input, and log class probabilities of the last layer.
+
+    x is (n, p) for one model or (K, n, p) for K stacked ones."""
     inputs = [x]
     for w, b in layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+        inputs.append(np.maximum(inputs[-1] @ w + b[..., None, :], 0.0))
     w, b = layers[-1]
-    return inputs, _log_softmax(inputs[-1] @ w + b)
+    return inputs, _log_softmax(inputs[-1] @ w + b[..., None, :])
 
 
-def loss_and_grad(model: Model, batch: Batch, data: Dataset) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its exact parameter gradient."""
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def loss_and_grad(model: Model, batch: Batch, data: Dataset,
+                  out: Optional[np.ndarray] = None) -> tuple:
+    """Mean cross-entropy over the batch and its exact parameter gradient.
+
+    For one model: a float and a (d,) gradient.  For a (K, d) params
+    matrix and a (K, b) batch: a (K,) array of losses and the (K, d)
+    gradient matrix.  The gradient is written into `out` (a new array when
+    None), layer by layer through views, with no concatenation.
+    """
     x = data.features[batch]
     y = data.labels[batch]
-    nb = len(batch)
-    layers = _layers(model)
+    nb = y.shape[-1]
+    # Index of each sample's true-class entry in a (..., nb, C) array.
+    pick = (*np.indices(y.shape, sparse=True), y)
+    layers = _layers(model, model.params)
+    if out is None:
+        out = np.empty(model.params.shape)
     inputs, logp = _forward(layers, x)
-    loss = -float(logp[np.arange(nb), y].mean())
+    loss = -logp[pick].mean(axis=-1)
     dz = np.exp(logp)
-    dz[np.arange(nb), y] -= 1.0
+    dz[pick] -= 1.0
     dz /= nb
-    grads = []  # b, W per layer, last layer first
-    for i in reversed(range(len(layers))):
-        grads += [dz.sum(axis=0), (inputs[i].T @ dz).ravel()]
+    for i, (w_grad, b_grad) in reversed(list(enumerate(_layers(model, out)))):
+        np.sum(dz, axis=-2, out=b_grad)
+        np.matmul(_transpose(inputs[i]), dz, out=w_grad)
         if i:  # through the ReLU: its input was positive iff its output is
-            dz = (dz @ layers[i][0].T) * (inputs[i] > 0.0)
-    return loss, np.concatenate(grads[::-1])
+            dz = (dz @ _transpose(layers[i][0])) * (inputs[i] > 0.0)
+    return (float(loss) if loss.ndim == 0 else loss), out
 
 
 def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
@@ -175,7 +199,7 @@ def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
 
     Argmax ties break to the lowest class index.
     """
-    _, logp = _forward(_layers(model), data.features)
+    _, logp = _forward(_layers(model, model.params), data.features)
     loss = -float(logp[np.arange(data.n), data.labels].mean())
     accuracy = float((logp.argmax(axis=1) == data.labels).mean())
     return loss, accuracy
@@ -198,14 +222,15 @@ class OptimizerSpec:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
-    def build(self, d: int) -> OptimizerState:
-        """Fresh state for a d-dimensional parameter vector."""
+    def build(self, shape) -> OptimizerState:
+        """Fresh state for parameters of this shape: a length d, or
+        (K, d) to advance K models' rows in lock-step."""
         slots = {}
         if self.kind == "sgd-momentum":
-            slots["velocity"] = np.zeros(d)
+            slots["velocity"] = np.zeros(shape)
         elif self.kind in ("adam", "adamw"):
-            slots["m"] = np.zeros(d)
-            slots["v"] = np.zeros(d)
+            slots["m"] = np.zeros(shape)
+            slots["v"] = np.zeros(shape)
         return OptimizerState(spec=self, slots=slots)
 
 
@@ -216,35 +241,46 @@ class OptimizerState:
     slots: dict = field(default_factory=dict)
 
 
-def apply_gradient(opt: OptimizerState, params: ParamVector,
-                   grad: ParamVector) -> ParamVector:
-    """One optimizer update; advances the step counter and slot vectors.
+def apply_gradient(opt: OptimizerState, params: np.ndarray,
+                   grad: np.ndarray) -> np.ndarray:
+    """One optimizer update of `params` in place; returns `params`.
 
-    Momentum follows the common v <- mu*v + g recurrence, with the Nesterov
-    flavor stepping along g + mu*v.  Adam applies bias correction; AdamW adds
-    decoupled decay lr*wd*w on top of the Adam step.
+    params, grad and the slots share one shape, a vector or a (K, d)
+    matrix whose rows update independently.  `grad` serves as scratch and
+    is overwritten.  Momentum follows the common v <- mu*v + g recurrence,
+    with the Nesterov flavor stepping along g + mu*v.  Adam applies bias
+    correction; AdamW adds decoupled decay lr*wd*w on top of the Adam step.
+    Each product and sum rounds as in the textbook expression
+    `params - lr * update`.
     """
     spec = opt.spec
     opt.step += 1
-    if spec.kind == "sgd":
-        return params - spec.lr * grad
+    adam = spec.kind in ("adam", "adamw")
     if spec.kind == "sgd-momentum":
         vel = opt.slots["velocity"]
         vel *= spec.momentum
         vel += grad
-        update = grad + spec.momentum * vel if spec.nesterov else vel
-        return params - spec.lr * update
-    m, v = opt.slots["m"], opt.slots["v"]
-    m *= spec.beta1
-    m += (1.0 - spec.beta1) * grad
-    v *= spec.beta2
-    v += (1.0 - spec.beta2) * grad * grad
-    m_hat = m / (1.0 - spec.beta1 ** opt.step)
-    v_hat = v / (1.0 - spec.beta2 ** opt.step)
-    new = params - spec.lr * m_hat / (np.sqrt(v_hat) + spec.eps)
-    if spec.kind == "adamw":
-        new = new - spec.lr * spec.weight_decay * params
-    return new
+        if spec.nesterov:
+            grad += spec.momentum * vel
+        else:
+            grad[...] = vel
+    elif adam:
+        m, v = opt.slots["m"], opt.slots["v"]
+        m *= spec.beta1
+        m += (1.0 - spec.beta1) * grad
+        v *= spec.beta2
+        grad *= (1.0 - spec.beta2) * grad
+        v += grad
+        np.divide(m, 1.0 - spec.beta1 ** opt.step, out=grad)  # m_hat
+    grad *= spec.lr
+    if adam:
+        grad /= np.sqrt(v / (1.0 - spec.beta2 ** opt.step)) + spec.eps
+    decay = spec.lr * spec.weight_decay * params \
+        if spec.kind == "adamw" else None
+    params -= grad
+    if decay is not None:
+        params -= decay
+    return params
 
 
 class ShardSampler:

@@ -49,7 +49,7 @@ class SketchTransform:
 class AmsSketch:
     """l x m output of a transform; additive in the sketched vector."""
 
-    rows: np.ndarray  # (l, m) float64
+    rows: np.ndarray  # (l, m) float64; (K, l, m) for K stacked sketches
 
 
 def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
@@ -70,14 +70,22 @@ def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
     return SketchTransform(d=d, l=l, m=m, seed=seed, buckets=buckets, signs=signs)
 
 
-def apply(t: SketchTransform, v: ParamVector) -> AmsSketch:
-    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j."""
-    if v.shape != (t.d,):
+def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
+    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j.
+
+    A (K, d) matrix gives K sketches stacked as (K, l, m) rows, each made
+    by the same per-row bincount as a single vector's, so no (K, l, d)
+    temporary is built.
+    """
+    if v.shape[-1:] != (t.d,) or v.ndim > 2:
         raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
-    rows = np.empty((t.l, t.m), dtype=np.float64)
-    for i in range(t.l):
-        rows[i] = np.bincount(t.buckets[i], weights=t.signs[i] * v, minlength=t.m)
-    return AmsSketch(rows=rows)
+    vs = v.reshape(-1, t.d)
+    rows = np.empty((len(vs), t.l, t.m), dtype=np.float64)
+    for k, x in enumerate(vs):
+        for i in range(t.l):
+            rows[k, i] = np.bincount(t.buckets[i], weights=t.signs[i] * x,
+                                     minlength=t.m)
+    return AmsSketch(rows=rows.reshape(v.shape[:-1] + (t.l, t.m)))
 
 
 def _check_same_shape(a: AmsSketch, b: AmsSketch) -> None:

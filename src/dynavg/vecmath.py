@@ -1,9 +1,10 @@
 """Flat dense-vector arithmetic shared by every other module.
 
 A parameter vector is a 1-D float64 numpy array of fixed length d.  The same
-representation carries model parameters, drifts, and gradients.  All
-reductions run in a fixed order so that repeated runs with the same seed are
-bit-identical.
+representation carries model parameters, drifts, and gradients; K of them
+stack as the rows of a (K, d) matrix, and `dot`, `norm_sq` and `average`
+take either form with the same per-row rounding.  All reductions run in a
+fixed order so that repeated runs with the same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,30 +14,43 @@ import numpy as np
 ParamVector = np.ndarray
 
 
-def _check_same_length(a: ParamVector, b: ParamVector) -> None:
-    if a.shape != b.shape:
+def dot(a: np.ndarray, b: np.ndarray):
+    """Inner product sum(a_i * b_i) along the last axis.
+
+    A float for two vectors; for a (K, d) matrix `a`, a (K,) array holding
+    each row's product with `b` (a vector or a matching matrix).  Every
+    entry equals np.dot of the two rows bit for bit: the stacked matmul
+    runs one dot kernel per row, where np.einsum, (a * b).sum(1) and a @ b
+    round differently.
+    """
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    out = np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
-def dot(a: ParamVector, b: ParamVector) -> float:
-    """Inner product sum(a_i * b_i)."""
-    _check_same_length(a, b)
-    return float(np.dot(a, b))
+def norm_sq(v: np.ndarray):
+    """Squared Euclidean norm along the last axis; exactly dot(v, v)."""
+    return dot(v, v)
 
 
-def norm_sq(v: ParamVector) -> float:
-    """Squared Euclidean norm; exactly dot(v, v)."""
-    return float(np.dot(v, v))
+def ordered_sum(m: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the K slices in ascending order.
+
+    np.sum reduces the outer axis of a C-contiguous array slice by slice,
+    but when each slice holds one entry the reduced axis becomes the inner
+    one, which numpy sums pairwise for K >= 8; an accumulation is
+    sequential for every shape.
+    """
+    m = np.ascontiguousarray(m)
+    return m.sum(axis=0) if m[0].size > 1 else np.cumsum(m, axis=0)[-1]
 
 
-def average(vs: list[ParamVector]) -> ParamVector:
-    """Elementwise mean, accumulated in ascending list order."""
-    if len(vs) == 0:
-        raise ValueError("average over an empty list")
-    first = vs[0]
-    acc = np.array(first, dtype=np.float64, copy=True)
-    for v in vs[1:]:
-        _check_same_length(first, v)
-        acc += v
-    acc /= len(vs)
-    return acc
+def average(vs) -> ParamVector:
+    """Elementwise mean of K vectors, given as a list or as the rows of a
+    (K, d) matrix, accumulated in ascending order."""
+    m = np.asarray(vs, dtype=np.float64)
+    if m.ndim != 2 or len(m) == 0:
+        raise ValueError(f"average needs K >= 1 vectors of one length, "
+                         f"got shape {m.shape}")
+    return ordered_sum(m) / len(m)

@@ -168,6 +168,20 @@ def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
 
 
+@pytest.mark.parametrize("partition", [
+    {"scheme": "noniid-label", "label": 0, "holders": 3},
+    {"scheme": "noniid-label", "label": 3},
+    {"scheme": "noniid-label", "label": -1},
+], ids=["holders-over-workers", "label-over-classes", "label-negative"])
+def test_partition_outside_workers_or_classes_rejected_at_parse(tmp_path,
+                                                                partition):
+    # base_mapping has 2 workers and 3 blob classes.
+    mapping = base_mapping(partition=partition)
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(mapping)
+    assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+
+
 def test_load_config_bad_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("strategy: [unclosed")

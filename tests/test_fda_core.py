@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynavg import cluster_sim as cs
 from dynavg import fda_core, learner, sketch, vecmath
 from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
@@ -130,6 +131,89 @@ def test_state_averaging_values():
     assert avg.mean_drift_norm_sq == pytest.approx(expected_norm, rel=1e-12)
     expected_rows = sum(sketch.apply(t, u).rows for u in drifts) / 3
     np.testing.assert_allclose(avg.mean_summary.rows, expected_rows, rtol=1e-12)
+
+
+def ref_average_states(states):
+    """Per-worker averaging in ascending order, the bit-exact reference."""
+    k = len(states)
+    mean_norm = sum(s.drift_norm_sq for s in states) / k
+    if states[0].is_sketch:
+        acc = states[0].summary.rows
+        for s in states[1:]:
+            acc = acc + s.summary.rows
+        return mean_norm, (1.0 / k) * acc
+    return mean_norm, sum(s.summary for s in states) / k
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_batched_states_match_per_worker_path(k):
+    # Building all K states from the (K, d) drift matrix must give the same
+    # states, averages, H and ledger bytes as K per-worker calls.  K = 9
+    # would expose numpy's pairwise summation of 8 or more terms.
+    d = 63
+    rng = np.random.default_rng(46)
+    drifts = rng.standard_normal((k, d)) * rng.uniform(0.1, 3.0, (k, 1))
+    xi = rng.standard_normal(d)
+    xi /= np.linalg.norm(xi)
+    wide, single = (sketch.make_transform(d, 3, 5, seed=4),
+                    sketch.make_transform(d, 1, 1, seed=4))
+    if k >= 8:
+        # The data must tell numpy's pairwise order from the ascending one
+        # for every component, or the test could not see the difference.
+        for values in (np.array([u @ u for u in drifts]),
+                       np.array([xi @ u for u in drifts]),
+                       np.array([sketch.apply(single, u).rows[0, 0]
+                                 for u in drifts])):
+            ascending = 0.0
+            for v in values:
+                ascending += v
+            assert float(np.sum(values)) != ascending
+    cases = [
+        (lambda u: fda_core.make_local_state_linear(u, xi), fda_core.h_linear),
+        (lambda u: fda_core.make_local_state_linear(u, None), fda_core.h_linear),
+        (lambda u: fda_core.make_local_state_sketch(u, wide),
+         lambda avg: fda_core.h_sketch(avg, 0.3)),
+        (lambda u: fda_core.make_local_state_sketch(u, single),
+         lambda avg: fda_core.h_sketch(avg, 0.3)),
+    ]
+    for make, h_of in cases:
+        per_worker = [make(u) for u in drifts]
+        batched = make(drifts)
+        assert batched.workers == k
+        for i, state in enumerate(per_worker):
+            assert batched.drift_norm_sq[i] == state.drift_norm_sq
+            if state.is_sketch:
+                assert np.array_equal(batched.summary.rows[i],
+                                      state.summary.rows)
+            else:
+                assert batched.summary[i] == state.summary
+        ref_norm, ref_summary = ref_average_states(per_worker)
+        ledgers = cs.CostLedger(), cs.CostLedger()
+        averaged = [cs.allreduce_average(payload, ledger, "state")
+                    for payload, ledger in zip((per_worker, batched), ledgers)]
+        assert ledgers[0].bytes_state == ledgers[1].bytes_state > 0
+        for avg in averaged:
+            assert avg.mean_drift_norm_sq == ref_norm
+            if avg.is_sketch:
+                assert np.array_equal(avg.mean_summary.rows, ref_summary)
+            else:
+                assert avg.mean_summary == ref_summary
+            assert h_of(avg) == h_of(averaged[0])
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_variance_exact_matrix_matches_per_worker_loop(k):
+    rng = np.random.default_rng(1)
+    models = rng.standard_normal((k, 40)) * rng.uniform(0.1, 3.0, (k, 1))
+    mean = vecmath.average(list(models))
+    norms = np.array([np.dot(w - mean, w - mean) for w in models])
+    total = 0.0
+    for v in norms:
+        total += v
+    if k >= 8:  # the data must tell numpy's pairwise sum from this loop
+        assert float(np.sum(norms)) != total
+    assert fda_core.variance_exact(models) == total / k
+    assert fda_core.variance_exact(list(models)) == total / k
 
 
 # --- H functions ------------------------------------------------------------

@@ -128,6 +128,29 @@ def test_dense_pass_matches_reference(kind, p, classes, hidden, scheme):
             assert learner.evaluate(m, data) == ref_evaluate(m, data)
 
 
+@pytest.mark.parametrize("kind,p,classes,hidden",
+                         [("logistic", 20, 3, 0), ("mlp", 784, 10, 128)])
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_stacked_pass_matches_single_models(kind, p, classes, hidden, k):
+    # K models as the rows of one matrix, each with its own batch row: one
+    # stacked call must give exactly what K single-model calls give.
+    data = tiny_data(n=64, p=p, classes=classes, seed=26)
+    rng = np.random.default_rng(27)
+    d = learner.param_count(kind, p, classes, hidden)
+    params = rng.standard_normal((k, d)) * 0.1
+    batch = np.stack([rng.permutation(data.n)[:16] for _ in range(k)])
+    out = np.full((k, d), np.nan)
+    losses, grads = learner.loss_and_grad(
+        learner.Model(kind, p, classes, hidden, params), batch, data, out=out)
+    assert grads is out and losses.shape == (k,)
+    for i in range(k):
+        loss, grad = learner.loss_and_grad(
+            learner.Model(kind, p, classes, hidden, params[i].copy()),
+            batch[i], data)
+        assert losses[i] == loss
+        assert np.array_equal(grads[i], grad)
+
+
 # --- model construction -----------------------------------------------------
 
 def test_logistic_param_count():
@@ -241,7 +264,7 @@ def test_sgd_zero_lr_keeps_parameters():
     model = learner.init_model("logistic", 6, 3, seed=13)
     opt = learner.OptimizerSpec(kind="sgd", lr=0.0).build(len(model.params))
     _, grad = learner.loss_and_grad(model, np.arange(10), data)
-    out = learner.apply_gradient(opt, model.params, grad)
+    out = learner.apply_gradient(opt, model.params.copy(), grad)
     np.testing.assert_array_equal(out, model.params)
 
 
@@ -250,7 +273,7 @@ def test_sgd_update_is_definition():
     model = learner.init_model("logistic", 6, 3, seed=15)
     _, grad = learner.loss_and_grad(model, np.arange(8), data)
     opt = learner.OptimizerSpec(kind="sgd", lr=0.1).build(len(model.params))
-    out = learner.apply_gradient(opt, model.params, grad)
+    out = learner.apply_gradient(opt, model.params.copy(), grad.copy())
     np.testing.assert_allclose(out, model.params - 0.1 * grad, rtol=0, atol=0)
 
 
@@ -260,7 +283,7 @@ def test_adam_first_step_closed_form():
     params = rng.standard_normal(d)
     grad = rng.standard_normal(d)
     opt = learner.OptimizerSpec(kind="adam", lr=0.01).build(d)
-    new = learner.apply_gradient(opt, params, grad)
+    new = learner.apply_gradient(opt, params.copy(), grad.copy())
     # From zero moments: m_hat = g, v_hat = g^2.
     expected = params - 0.01 * grad / (np.abs(grad) + 1e-8)
     np.testing.assert_allclose(new, expected, rtol=1e-10, atol=1e-12)
@@ -273,9 +296,9 @@ def test_adam_two_steps_match_recurrence():
     grads = [rng.standard_normal(d) for _ in range(2)]
     opt = learner.OptimizerSpec(kind="adam", lr=0.05, beta1=0.9, beta2=0.999,
                                 eps=1e-8).build(d)
-    got = params
+    got = params.copy()
     for g in grads:
-        got = learner.apply_gradient(opt, got, g)
+        got = learner.apply_gradient(opt, got, g.copy())
     m = np.zeros(d); v = np.zeros(d); expected = params
     for t, g in enumerate(grads, start=1):
         m = 0.9 * m + 0.1 * g
@@ -294,9 +317,9 @@ def test_momentum_matches_recurrence(nesterov):
     grads = [rng.standard_normal(d) for _ in range(3)]
     opt = learner.OptimizerSpec(kind="sgd-momentum", lr=0.1, momentum=0.9,
                                 nesterov=nesterov).build(d)
-    got = params
+    got = params.copy()
     for g in grads:
-        got = learner.apply_gradient(opt, got, g)
+        got = learner.apply_gradient(opt, got, g.copy())
     vel = np.zeros(d); expected = params
     for g in grads:
         vel = 0.9 * vel + g
@@ -313,9 +336,57 @@ def test_adamw_decoupled_decay():
     plain = learner.OptimizerSpec(kind="adam", lr=0.01).build(d)
     decayed = learner.OptimizerSpec(kind="adamw", lr=0.01,
                                     weight_decay=0.1).build(d)
-    base = learner.apply_gradient(plain, params, grad)
-    got = learner.apply_gradient(decayed, params, grad)
+    base = learner.apply_gradient(plain, params.copy(), grad.copy())
+    got = learner.apply_gradient(decayed, params.copy(), grad.copy())
     np.testing.assert_allclose(got, base - 0.01 * 0.1 * params, rtol=1e-12)
+
+
+def ref_update(spec, slots, t, params, grad):
+    """The optimizer step as a pure expression, the bit-exact reference."""
+    if spec.kind == "sgd":
+        return params - spec.lr * grad
+    if spec.kind == "sgd-momentum":
+        vel = slots["velocity"]
+        vel *= spec.momentum
+        vel += grad
+        update = grad + spec.momentum * vel if spec.nesterov else vel
+        return params - spec.lr * update
+    m, v = slots["m"], slots["v"]
+    m *= spec.beta1
+    m += (1.0 - spec.beta1) * grad
+    v *= spec.beta2
+    v += (1.0 - spec.beta2) * grad * grad
+    m_hat = m / (1.0 - spec.beta1 ** t)
+    v_hat = v / (1.0 - spec.beta2 ** t)
+    new = params - spec.lr * m_hat / (np.sqrt(v_hat) + spec.eps)
+    if spec.kind == "adamw":
+        new = new - spec.lr * spec.weight_decay * params
+    return new
+
+
+@pytest.mark.parametrize("spec", [
+    learner.OptimizerSpec(kind="sgd", lr=0.1),
+    learner.OptimizerSpec(kind="sgd-momentum", lr=0.1, momentum=0.9),
+    learner.OptimizerSpec(kind="sgd-momentum", lr=0.1, nesterov=True),
+    learner.OptimizerSpec(kind="adam", lr=0.05),
+    learner.OptimizerSpec(kind="adamw", lr=0.05, weight_decay=0.1),
+], ids=lambda spec: spec.kind + ("-nesterov" if spec.nesterov else ""))
+def test_in_place_matrix_update_matches_reference(spec):
+    # One in-place update of a (K, d) matrix equals the reference
+    # expression applied to each row with its own slots, bit for bit.
+    k, d = 3, 7
+    rng = np.random.default_rng(20)
+    params = rng.standard_normal((k, d))
+    opt = spec.build((k, d))
+    rows = [params[i].copy() for i in range(k)]
+    ref_slots = [spec.build(d).slots for _ in range(k)]
+    got = params.copy()
+    for t in range(1, 4):
+        grad = rng.standard_normal((k, d))
+        assert learner.apply_gradient(opt, got, grad.copy()) is got
+        rows = [ref_update(spec, ref_slots[i], t, rows[i], grad[i])
+                for i in range(k)]
+        assert np.array_equal(got, np.stack(rows))
 
 
 def test_unknown_optimizer_rejected():

@@ -92,3 +92,25 @@ def test_average_offset_invariance():
     base = vecmath.average(vs)
     shifted = vecmath.average([v + offset for v in vs]) - offset
     np.testing.assert_allclose(shifted, base, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("k,d", [(3, 50), (9, 50), (9, 1), (33, 2)])
+def test_average_matrix_matches_ascending_loop(k, d):
+    # The (K, d) form adds rows strictly in ascending order, like the loop;
+    # np.sum would pair up a single column's 9 entries.
+    m = np.random.default_rng(k + d).standard_normal((k, d))
+    acc = m[0].copy()
+    for row in m[1:]:
+        acc += row
+    acc /= k
+    assert np.array_equal(vecmath.average(m), acc)
+    assert np.array_equal(vecmath.average(list(m)), acc)
+
+
+def test_dot_and_norm_sq_rows_match_np_dot():
+    rng = np.random.default_rng(22)
+    m = rng.standard_normal((9, 101))
+    v = rng.standard_normal(101)
+    assert np.array_equal(vecmath.dot(m, v), [np.dot(row, v) for row in m])
+    assert np.array_equal(vecmath.norm_sq(m), [np.dot(row, row) for row in m])
+    assert vecmath.dot(m[0], v) == float(np.dot(m[0], v))
