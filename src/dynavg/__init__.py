@@ -59,7 +59,6 @@ from .sketch import (
     apply,
     m2_estimate,
     make_transform,
-    sketch_add,
     sketch_scale,
 )
 from .cli import theta_preset

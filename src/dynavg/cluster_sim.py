@@ -323,10 +323,10 @@ def run(config: RunConfig) -> RunReport:
     """Execute one training run and report metrics and costs.
 
     The K worker models are the rows of one (K, d) float64 matrix, held as
-    the params of a single `Model`, with the optimizer slots shaped
-    (K, d) alike.  Per step, in lock-step: each worker's `ShardSampler`
-    yields one row of a (K, b) batch; one `loss_and_grad` call computes all
-    K gradients into a preallocated (K, d) buffer; one `apply_gradient`
+    the params of a single `Model`, with the optimizer slots shaped (K, d)
+    alike.  Per step, in lock-step: each worker's `ShardSampler` fills one
+    row of a preallocated (K, b) batch; one `loss_and_grad` call computes
+    all K gradients into a preallocated (K, d) buffer; one `apply_gradient`
     call updates the matrix in place; the exact variance is audited if
     asked; and the strategy's step hook, called as hook(t, matrix, reduce),
     builds all K local states at once and decides what is exchanged.  The
@@ -354,6 +354,7 @@ def run(config: RunConfig) -> RunReport:
                     config.hidden, np.tile(w0, (k, 1)))
     opt = config.optimizer.build((k, d))
     grad = np.empty((k, d))
+    batch = np.empty((k, config.batch_size), dtype=np.int64)
     samplers = [ShardSampler(part.shards[i], config.batch_size, config.seed, i)
                 for i in range(k)]
     steps_per_epoch = max(s.batches_per_pass for s in samplers)
@@ -374,7 +375,8 @@ def run(config: RunConfig) -> RunReport:
         epoch_losses = []
         for _ in range(steps_per_epoch):
             t += 1
-            batch = np.stack([s.next_batch() for s in samplers])
+            for i, sampler in enumerate(samplers):
+                batch[i] = sampler.next_batch()
             losses, _ = loss_and_grad(workers, batch, train, out=grad)
             apply_gradient(opt, workers.params, grad)
             train_loss = sum(losses.tolist()) / k

@@ -83,6 +83,8 @@ class Model:
     num_classes: int
     hidden: int
     params: ParamVector  # (d,), or (K, d) for K models of this layout
+    _pass: Optional[_Pass] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         expected = param_count(self.kind, self.p, self.num_classes, self.hidden)
@@ -144,24 +146,43 @@ def init_model(kind: str, p: int, num_classes: int, hidden: int = 0,
                  params=np.concatenate(parts))
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+class _Pass:
+    """The views a gradient pass over one params array, gradient buffer and
+    batch shape reuses: (W, b) of both (biases shaped to broadcast over
+    samples), the transposed weights and each sample's flat logit row."""
+
+    def __init__(self, model: Model, out=None, shape: tuple = ()):
+        self.params, self.out, self.shape = model.params, out, shape
+        self.layers = [(w, b[..., None, :])
+                       for w, b in _layers(model, model.params)]
+        self.weights_t = [np.swapaxes(w, -1, -2) for w, _ in self.layers]
+        self.grads = None if out is None else _layers(model, out)
+        self.rows = np.arange(math.prod(shape)).reshape(shape) * model.num_classes
 
 
-def _forward(layers: list, x: np.ndarray) -> tuple[list, np.ndarray]:
-    """Each layer's input, and log class probabilities of the last layer.
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in place.  The row max, taken
+    column by column, equals `z.max(axis=-1)` and costs less at small C."""
+    top = np.maximum(z[..., 0], z[..., 1])
+    for c in range(2, z.shape[-1]):
+        np.maximum(top, z[..., c], out=top)
+    z -= top[..., None]
+    norm = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
+    z -= np.log(norm, out=norm)
+    return z
 
+
+def _forward(net: _Pass, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each layer's input, and log class probabilities of the last layer;
     x is (n, p) for one model or (K, n, p) for K stacked ones."""
-    inputs = [x]
-    for w, b in layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ w + b[..., None, :], 0.0))
-    w, b = layers[-1]
-    return inputs, _log_softmax(inputs[-1] @ w + b[..., None, :])
-
-
-def _transpose(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
+    inputs, z = [], x
+    for w, b in net.layers:
+        if inputs:  # the ReLU between consecutive layers
+            np.maximum(z, 0.0, out=z)
+        inputs.append(z)
+        z = np.matmul(z, w)
+        z += b
+    return inputs, _log_softmax(z)
 
 
 def loss_and_grad(model: Model, batch: Batch, data: Dataset,
@@ -171,26 +192,32 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset,
     For one model: a float and a (d,) gradient.  For a (K, d) params
     matrix and a (K, b) batch: a (K,) array of losses and the (K, d)
     gradient matrix.  The gradient is written into `out` (a new array when
-    None), layer by layer through views, with no concatenation.
+    None), layer by layer through views, with no concatenation.  The
+    views come from a `_Pass` kept on the model until `model.params`,
+    `out` or the batch shape changes: built once per run.
     """
-    x = data.features[batch]
-    y = data.labels[batch]
-    nb = y.shape[-1]
-    # Index of each sample's true-class entry in a (..., nb, C) array.
-    pick = (*np.indices(y.shape, sparse=True), y)
-    layers = _layers(model, model.params)
     if out is None:
         out = np.empty(model.params.shape)
-    inputs, logp = _forward(layers, x)
-    loss = -logp[pick].mean(axis=-1)
-    dz = np.exp(logp)
-    dz[pick] -= 1.0
+    net = model._pass
+    if not (net and net.params is model.params and net.out is out
+            and net.shape == batch.shape):
+        net = model._pass = _Pass(model, out, batch.shape)
+    x = data.features.take(batch, axis=0)
+    y = data.labels.take(batch)
+    nb = y.shape[-1]
+    inputs, logp = _forward(net, x)
+    pick = net.rows + y  # each sample's true-class entry in logp, flattened
+    loss = -(np.add.reduce(logp.take(pick), axis=-1) / nb)
+    dz = np.exp(logp, out=logp)
+    dz.reshape(-1)[pick] -= 1.0
     dz /= nb
-    for i, (w_grad, b_grad) in reversed(list(enumerate(_layers(model, out)))):
-        np.sum(dz, axis=-2, out=b_grad)
-        np.matmul(_transpose(inputs[i]), dz, out=w_grad)
+    for i in reversed(range(len(inputs))):
+        w_grad, b_grad = net.grads[i]
+        np.add.reduce(dz, axis=-2, out=b_grad)
+        np.matmul(inputs[i].swapaxes(-1, -2), dz, out=w_grad)
         if i:  # through the ReLU: its input was positive iff its output is
-            dz = (dz @ _transpose(layers[i][0])) * (inputs[i] > 0.0)
+            dz = np.matmul(dz, net.weights_t[i])
+            dz *= inputs[i] > 0.0
     return (float(loss) if loss.ndim == 0 else loss), out
 
 
@@ -199,7 +226,7 @@ def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
 
     Argmax ties break to the lowest class index.
     """
-    _, logp = _forward(_layers(model, model.params), data.features)
+    _, logp = _forward(_Pass(model), data.features)
     loss = -float(logp[np.arange(data.n), data.labels].mean())
     accuracy = float((logp.argmax(axis=1) == data.labels).mean())
     return loss, accuracy

@@ -11,7 +11,8 @@ estimating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +36,9 @@ def _poly_hash(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SketchTransform:
-    """Shared projection; fully determined by (d, l, m, seed)."""
+    """Shared projection; fully determined by (d, l, m, seed).  `buckets`
+    and `signs` are read-only; `buckets` views `_bins`, kept writable
+    because `np.bincount` copies a read-only index on every call."""
 
     d: int
     l: int
@@ -43,6 +46,14 @@ class SketchTransform:
     seed: int
     buckets: np.ndarray  # (l, d) int64, values in [0, m)
     signs: np.ndarray    # (l, d) float64, values in {-1, +1}
+    _bins: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bins = np.require(self.buckets, np.int64, ["C", "W"])
+        object.__setattr__(self, "_bins", bins)
+        object.__setattr__(self, "buckets", bins.view())
+        self.buckets.setflags(write=False)
+        self.signs.setflags(write=False)
 
 
 @dataclass
@@ -65,8 +76,6 @@ def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
     for i in range(l):
         buckets[i] = _poly_hash(idx, coeffs[i, 0]) % m
         signs[i] = 2.0 * (_poly_hash(idx, coeffs[i, 1]) & 1) - 1.0
-    buckets.setflags(write=False)
-    signs.setflags(write=False)
     return SketchTransform(d=d, l=l, m=m, seed=seed, buckets=buckets, signs=signs)
 
 
@@ -83,19 +92,9 @@ def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
     rows = np.empty((len(vs), t.l, t.m), dtype=np.float64)
     for k, x in enumerate(vs):
         for i in range(t.l):
-            rows[k, i] = np.bincount(t.buckets[i], weights=t.signs[i] * x,
+            rows[k, i] = np.bincount(t._bins[i], weights=t.signs[i] * x,
                                      minlength=t.m)
     return AmsSketch(rows=rows.reshape(v.shape[:-1] + (t.l, t.m)))
-
-
-def _check_same_shape(a: AmsSketch, b: AmsSketch) -> None:
-    if a.rows.shape != b.rows.shape:
-        raise ValueError(f"sketch shape mismatch: {a.rows.shape} vs {b.rows.shape}")
-
-
-def sketch_add(a: AmsSketch, b: AmsSketch) -> AmsSketch:
-    _check_same_shape(a, b)
-    return AmsSketch(rows=a.rows + b.rows)
 
 
 def sketch_scale(alpha: float, a: AmsSketch) -> AmsSketch:
@@ -105,11 +104,13 @@ def sketch_scale(alpha: float, a: AmsSketch) -> AmsSketch:
 def m2_estimate(s: AmsSketch) -> float:
     """Median over rows of the squared row norm.
 
-    For an even row count this is the mean of the two middle order
-    statistics, which is what numpy's median computes.
+    For an even row count this is `(a + b) / 2` of the two middle order
+    statistics, bit-equal to `np.median`; any NaN row norm gives NaN.
     """
-    row_norms_sq = np.einsum("ij,ij->i", s.rows, s.rows)
-    return float(np.median(row_norms_sq))
+    norms = sorted(np.einsum("ij,ij->i", s.rows, s.rows).tolist())
+    mid = len(norms) // 2
+    median = norms[mid] if len(norms) % 2 else (norms[mid - 1] + norms[mid]) / 2
+    return math.nan if any(map(math.isnan, norms)) else median
 
 
 def relative_error(m: int) -> float:

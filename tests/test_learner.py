@@ -151,6 +151,78 @@ def test_stacked_pass_matches_single_models(kind, p, classes, hidden, k):
         assert np.array_equal(grads[i], grad)
 
 
+@pytest.mark.parametrize("kind,p,classes,hidden",
+                         [("logistic", 20, 3, 0), ("mlp", 784, 10, 128)])
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_per_run_pass_matches_per_model_reference(kind, p, classes, hidden, k):
+    # The run loop's pattern: one (K, d) matrix updated in place, one
+    # gradient buffer and one (K, b) batch array refilled every step.  The
+    # pass built on the first step must serve all later ones, and every
+    # step must equal the hand-written reference applied to each model.
+    data = tiny_data(n=64, p=p, classes=classes, seed=28)
+    rng = np.random.default_rng(29)
+    d = learner.param_count(kind, p, classes, hidden)
+    model = learner.Model(kind, p, classes, hidden,
+                          rng.standard_normal((k, d)) * 0.1)
+    rows = [model.params[i].copy() for i in range(k)]
+    spec = learner.OptimizerSpec(kind="sgd", lr=0.05)
+    opt, grad = spec.build((k, d)), np.empty((k, d))
+    batch = np.empty((k, 16), dtype=np.int64)
+    for step in range(50):
+        for i in range(k):
+            batch[i] = rng.permutation(data.n)[:16]
+        losses, _ = learner.loss_and_grad(model, batch, data, out=grad)
+        if step == 0:
+            first_pass = model._pass
+        assert model._pass is first_pass
+        for i in range(k):
+            ref_loss, ref_grad = ref_loss_and_grad(
+                learner.Model(kind, p, classes, hidden, rows[i]), batch[i],
+                data)
+            assert losses[i] == ref_loss
+            assert np.array_equal(grad[i], ref_grad)
+            rows[i] = rows[i] - spec.lr * ref_grad
+        learner.apply_gradient(opt, model.params, grad)
+        assert np.array_equal(model.params, np.stack(rows))
+
+
+def test_rebinding_params_or_buffer_never_reuses_stale_views():
+    data = tiny_data(n=64, p=7, classes=3, seed=30)
+    rng = np.random.default_rng(31)
+    d = learner.param_count("mlp", 7, 3, 5)
+    model = learner.Model("mlp", 7, 3, 5, rng.standard_normal((3, d)))
+    batch = rng.integers(0, data.n, size=(3, 16))
+    out = np.empty((3, d))
+
+    def fresh(params, batch):
+        return learner.loss_and_grad(
+            learner.Model("mlp", 7, 3, 5, params.copy()), batch, data)
+
+    learner.loss_and_grad(model, batch, data, out=out)
+    # A new params array of the same shape, then the old one dropped.
+    for params in (rng.standard_normal((3, d)), model.params.copy() * 2.0):
+        model.params = params
+        losses, grads = learner.loss_and_grad(model, batch, data, out=out)
+        ref_losses, ref_grads = fresh(params, batch)
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(grads, ref_grads) and grads is out
+    # A new gradient buffer receives the gradient; the old one is untouched.
+    new_out = np.full((3, d), np.nan)
+    _, grads = learner.loss_and_grad(model, batch, data, out=new_out)
+    assert grads is new_out and np.array_equal(new_out, out)
+    out[:] = 0.0
+    learner.loss_and_grad(model, batch, data, out=new_out)
+    assert not out.any()
+    # A batch of another shape, and a single model after a stacked one.
+    wide = rng.integers(0, data.n, size=(3, 24))
+    _, grads = learner.loss_and_grad(model, wide, data, out=new_out)
+    assert np.array_equal(grads, fresh(model.params, wide)[1])
+    model.params = model.params[0].copy()
+    loss, grad = learner.loss_and_grad(model, batch[0], data)
+    ref_loss, ref_grad = ref_loss_and_grad(model, batch[0], data)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+
 # --- model construction -----------------------------------------------------
 
 def test_logistic_param_count():

@@ -66,8 +66,8 @@ def test_apply_hand_pinned_hashes():
 def test_sketch_add_zero_identity():
     t = sketch.make_transform(30, 3, 10, seed=5)
     a = sketch.apply(t, np.random.default_rng(1).standard_normal(30))
-    out = sketch.sketch_add(a, sketch.apply(t, np.zeros(t.d)))
-    np.testing.assert_array_equal(out.rows, a.rows)
+    out = a.rows + sketch.apply(t, np.zeros(t.d)).rows
+    np.testing.assert_array_equal(out, a.rows)
 
 
 def test_sketch_add_linearity_oracle():
@@ -75,8 +75,8 @@ def test_sketch_add_linearity_oracle():
     rng = np.random.default_rng(2)
     v1, v2 = rng.standard_normal(64), rng.standard_normal(64)
     combined = sketch.apply(t, v1 + v2)
-    summed = sketch.sketch_add(sketch.apply(t, v1), sketch.apply(t, v2))
-    np.testing.assert_allclose(combined.rows, summed.rows, rtol=1e-10, atol=1e-10)
+    summed = sketch.apply(t, v1).rows + sketch.apply(t, v2).rows
+    np.testing.assert_allclose(combined.rows, summed, rtol=1e-10, atol=1e-10)
 
 
 def test_sketch_scale_oracle():
@@ -87,11 +87,36 @@ def test_sketch_scale_oracle():
     np.testing.assert_allclose(lhs.rows, rhs.rows, rtol=1e-10)
 
 
-def test_sketch_add_shape_mismatch():
-    a = sketch.AmsSketch(rows=np.zeros((2, 3)))
-    b = sketch.AmsSketch(rows=np.zeros((2, 4)))
+@pytest.mark.parametrize("l", range(1, 8))
+def test_m2_matches_numpy_median(l):
+    # Odd and even row counts, ties included: bit-equal to np.median.
+    rng = np.random.default_rng(40 + l)
+    for _ in range(300):
+        rows = rng.standard_normal((l, 3)) * rng.exponential(size=(l, 1))
+        if rng.random() < 0.2:
+            rows[rng.integers(l)] = rows[0]
+        expected = float(np.median(np.einsum("ij,ij->i", rows, rows)))
+        assert sketch.m2_estimate(sketch.AmsSketch(rows=rows)) == expected
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_m2_nan_row_gives_nan(l):
+    for bad in range(l):
+        rows = np.ones((l, 2))
+        rows[bad, 1] = np.nan
+        assert np.isnan(sketch.m2_estimate(sketch.AmsSketch(rows=rows)))
+
+
+def test_transform_tables_read_only():
+    t = sketch.make_transform(40, 3, 8, seed=6)
     with pytest.raises(ValueError):
-        sketch.sketch_add(a, b)
+        t.buckets[0, 0] = 1
+    with pytest.raises(ValueError):
+        t.signs[0, 0] = 1.0
+    # The index `apply` reads is the same memory, kept writable so that
+    # np.bincount need not copy it on every call.
+    assert np.shares_memory(t.buckets, t._bins) and t._bins.flags.writeable
+    assert t._bins.dtype == np.int64 and np.array_equal(t._bins, t.buckets)
 
 
 def test_m2_zero_sketch():
