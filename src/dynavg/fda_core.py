@@ -39,8 +39,9 @@ class LocalState:
     """Per-worker pair (||u||^2, summary); mergeable by averaging.
 
     Built from a (K, d) drift matrix it holds all K workers' pairs: a (K,)
-    norm array and either a (K,) projection array or a sketch with
-    (K, l, m) rows.
+    norm array and either a (K,) projection array or, for sketches, one
+    (l, m) sketch of the mean drift.  By linearity that sketch is the mean
+    of the K workers' sketches, each of which still goes on the wire.
     """
 
     drift_norm_sq: Union[float, np.ndarray]
@@ -83,8 +84,11 @@ def variance_from_drifts(mean_drift_norm_sq: float,
 
 
 def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
-    """The state of one drift (d,), or of each row of a (K, d) matrix."""
-    return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, u))
+    """The state of one drift (d,), or of the rows of a (K, d) matrix: their
+    K squared norms and one sketch of their mean (rows added in ascending
+    order), standing for the mean of the K sketches that the workers send."""
+    mean = u if u.ndim == 1 else ordered_sum(u) / len(u)
+    return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, mean))
 
 
 def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
@@ -95,15 +99,18 @@ def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
 
 
 def _stack(states: list[LocalState]) -> LocalState:
-    """K single-worker states as one stacked state."""
+    """K single-worker states as one stacked state; as in a (K, d) build,
+    its sketch is the mean of the K sketches (added in ascending order)."""
     if len(states) == 0:
         raise ValueError("average of an empty state list")
     kinds = {s.is_sketch for s in states}
     if len(kinds) != 1:
         raise ValueError("cannot average sketch and scalar states together")
-    summary = (sk.AmsSketch(rows=np.stack([s.summary.rows for s in states]))
-               if states[0].is_sketch
-               else np.array([s.summary for s in states], dtype=np.float64))
+    if states[0].is_sketch:
+        rows = ordered_sum(np.stack([s.summary.rows for s in states]))
+        summary = sk.sketch_scale(1.0 / len(states), sk.AmsSketch(rows=rows))
+    else:
+        summary = np.array([s.summary for s in states], dtype=np.float64)
     return LocalState(
         drift_norm_sq=np.array([s.drift_norm_sq for s in states],
                                dtype=np.float64),
@@ -113,16 +120,15 @@ def _stack(states: list[LocalState]) -> LocalState:
 def average_states(states) -> AveragedState:
     """Elementwise mean of K same-kind states, in ascending worker order.
 
-    Takes a list of single-worker states or one stacked state."""
+    Takes a list of single-worker states or one stacked state, whose sketch
+    already is the mean of the K workers' sketches."""
     if not isinstance(states, LocalState):
         states = _stack(states)
     k = states.workers
     mean_norm = sum(states.drift_norm_sq.tolist()) / k
-    if states.is_sketch:
-        mean_summary: Union[sk.AmsSketch, float] = sk.sketch_scale(
-            1.0 / k, sk.AmsSketch(rows=ordered_sum(states.summary.rows)))
-    else:
-        mean_summary = sum(states.summary.tolist()) / k
+    mean_summary: Union[sk.AmsSketch, float] = (
+        states.summary if states.is_sketch
+        else sum(states.summary.tolist()) / k)
     return AveragedState(mean_drift_norm_sq=mean_norm, mean_summary=mean_summary)
 
 

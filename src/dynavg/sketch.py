@@ -6,7 +6,9 @@ from a 4-wise independent family (degree-3 polynomials over the Mersenne
 prime 2^31 - 1, sign taken from the low output bit).  The median of the
 squared row norms estimates the squared Euclidean norm of the input, and the
 whole map is linear, so sketches of different vectors can be averaged before
-estimating.
+estimating.  A run uses that linearity: it sketches the K workers' mean
+drift once per step in place of averaging K sketches, while the ledger
+still bills every worker's own sketch on the wire.
 """
 
 from __future__ import annotations

@@ -218,6 +218,26 @@ def test_sketch_fda_ledger_closed_form():
     assert report.final_bytes == expected
 
 
+def test_sketch_fda_sketches_once_per_step_and_bills_every_worker(monkeypatch):
+    # The run sketches the mean drift, one (d,) vector per step, yet the
+    # ledger still charges all K workers' sketches and models.
+    shapes = []
+    apply = sketch.apply
+
+    def counting_apply(t, v):
+        shapes.append(v.shape)
+        return apply(t, v)
+
+    monkeypatch.setattr(sketch, "apply", counting_apply)
+    strategy = SketchFda(theta=0.05, rows=3, cols=10, seed=5)
+    report = cs.run(blobs_config(strategy, workers=9, max_epochs=2))
+    d, steps = report.model_dim, report.final_steps
+    assert shapes == [(d,)] * steps
+    assert 0 < report.sync_count < steps
+    assert report.ledger.bytes_state == steps * 9 * 4 * (3 * 10 + 1)
+    assert report.ledger.bytes_sync == report.sync_count * 9 * 4 * d
+
+
 def test_infinite_theta_never_syncs():
     cfg = blobs_config(LinearFda(theta=float("inf")), workers=3, max_epochs=2)
     report = cs.run(cfg)

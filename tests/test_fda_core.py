@@ -133,6 +133,24 @@ def test_state_averaging_values():
     np.testing.assert_allclose(avg.mean_summary.rows, expected_rows, rtol=1e-12)
 
 
+def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
+    # A stacked state built from a (K, d) drift matrix carries one sketch of
+    # the mean drift: averaging keeps it unchanged, while the K norms are
+    # still added in ascending order, which this K = 9 data tells apart
+    # from numpy's pairwise sum.
+    rng = np.random.default_rng(0)
+    norms = rng.uniform(0.1, 3.0, 9) ** 2 * rng.uniform(1, 1e3, 9)
+    ascending = 0.0
+    for v in norms:
+        ascending += v
+    assert float(np.sum(norms)) != ascending
+    rows = rng.standard_normal((3, 5))
+    avg = fda_core.average_states(fda_core.LocalState(
+        drift_norm_sq=norms, summary=sketch.AmsSketch(rows=rows.copy())))
+    assert avg.mean_drift_norm_sq == ascending / 9
+    assert np.array_equal(avg.mean_summary.rows, rows)
+
+
 def ref_average_states(states):
     """Per-worker averaging in ascending order, the bit-exact reference."""
     k = len(states)
@@ -148,8 +166,11 @@ def ref_average_states(states):
 @pytest.mark.parametrize("k", [3, 9])
 def test_batched_states_match_per_worker_path(k):
     # Building all K states from the (K, d) drift matrix must give the same
-    # states, averages, H and ledger bytes as K per-worker calls.  K = 9
-    # would expose numpy's pairwise summation of 8 or more terms.
+    # norms, ledger bytes and (for projections) averages and H as K
+    # per-worker calls.  The batched sketch state is one sketch of the mean
+    # drift, so its average equals the mean of the K sketches up to
+    # rounding.  K = 9 would expose numpy's pairwise summation of 8 or more
+    # terms.
     d = 63
     rng = np.random.default_rng(46)
     drifts = rng.standard_normal((k, d)) * rng.uniform(0.1, 3.0, (k, 1))
@@ -169,23 +190,22 @@ def test_batched_states_match_per_worker_path(k):
                 ascending += v
             assert float(np.sum(values)) != ascending
     cases = [
-        (lambda u: fda_core.make_local_state_linear(u, xi), fda_core.h_linear),
-        (lambda u: fda_core.make_local_state_linear(u, None), fda_core.h_linear),
-        (lambda u: fda_core.make_local_state_sketch(u, wide),
+        (None, lambda u: fda_core.make_local_state_linear(u, xi),
+         fda_core.h_linear),
+        (None, lambda u: fda_core.make_local_state_linear(u, None),
+         fda_core.h_linear),
+        (wide, lambda u: fda_core.make_local_state_sketch(u, wide),
          lambda avg: fda_core.h_sketch(avg, 0.3)),
-        (lambda u: fda_core.make_local_state_sketch(u, single),
+        (single, lambda u: fda_core.make_local_state_sketch(u, single),
          lambda avg: fda_core.h_sketch(avg, 0.3)),
     ]
-    for make, h_of in cases:
+    for transform, make, h_of in cases:
         per_worker = [make(u) for u in drifts]
         batched = make(drifts)
         assert batched.workers == k
         for i, state in enumerate(per_worker):
             assert batched.drift_norm_sq[i] == state.drift_norm_sq
-            if state.is_sketch:
-                assert np.array_equal(batched.summary.rows[i],
-                                      state.summary.rows)
-            else:
+            if not state.is_sketch:
                 assert batched.summary[i] == state.summary
         ref_norm, ref_summary = ref_average_states(per_worker)
         ledgers = cs.CostLedger(), cs.CostLedger()
@@ -194,11 +214,19 @@ def test_batched_states_match_per_worker_path(k):
         assert ledgers[0].bytes_state == ledgers[1].bytes_state > 0
         for avg in averaged:
             assert avg.mean_drift_norm_sq == ref_norm
-            if avg.is_sketch:
-                assert np.array_equal(avg.mean_summary.rows, ref_summary)
-            else:
+        listed, stacked = averaged
+        if transform is None:
+            for avg in averaged:
                 assert avg.mean_summary == ref_summary
-            assert h_of(avg) == h_of(averaged[0])
+                assert h_of(avg) == h_of(listed)
+            continue
+        assert np.array_equal(listed.mean_summary.rows, ref_summary)
+        mean_drift = vecmath.ordered_sum(drifts) / k
+        assert np.array_equal(stacked.mean_summary.rows,
+                              sketch.apply(transform, mean_drift).rows)
+        np.testing.assert_allclose(stacked.mean_summary.rows, ref_summary,
+                                   rtol=1e-12, atol=0)
+        assert h_of(stacked) == pytest.approx(h_of(listed), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 9])
