@@ -9,7 +9,7 @@ two runs with the same config produce identical reports.
 
 Transmitted payloads are charged at 4 bytes per real entry (the wire cost
 model), independent of the float64 arithmetic used internally.  Each
-AllReduce event costs K * payload_bytes: every worker ships its payload
+AllReduce event costs K times one worker's payload: every worker ships it
 once.  Exact-variance audits and per-epoch evaluation read worker models
 through an oracle channel that is never charged.
 """
@@ -86,19 +86,15 @@ class NonIidLabel:
 PartitionScheme = Union[Iid, NonIidFraction, NonIidLabel]
 
 
-@dataclass
-class Partition:
-    shards: list  # K index arrays, disjoint, covering the dataset
-
-
 def _target_sizes(n: int, k: int) -> list[int]:
     base, rem = divmod(n, k)
     return [base + 1 if i < rem else base for i in range(k)]
 
 
 def partition(data: Dataset, k: int, scheme: PartitionScheme,
-              seed: int) -> Partition:
-    """Split the dataset into K near-equal shards (sizes differ by <= 1).
+              seed: int) -> list[np.ndarray]:
+    """Split the dataset into K index arrays of near-equal sizes (they
+    differ by <= 1), disjoint and covering it.
 
     IID deals a seeded shuffle round-robin.  The fraction scheme sorts a
     random X% subset by label and hands each worker one contiguous run of
@@ -113,8 +109,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(scheme, Iid):
         perm = rng.permutation(n)
-        shards = [perm[i::k] for i in range(k)]
-        return Partition(shards=shards)
+        return [perm[i::k] for i in range(k)]
 
     targets = _target_sizes(n, k)
     if isinstance(scheme, NonIidFraction):
@@ -127,14 +122,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
         for size in _target_sizes(n_sorted, k) if n_sorted else [0] * k:
             shards.append(list(by_label[pos:pos + size]))
             pos += size
-        pos = 0
-        for i in range(k):
-            need = targets[i] - len(shards[i])
-            shards[i].extend(rest[pos:pos + need])
-            pos += need
-        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards])
-
-    if isinstance(scheme, NonIidLabel):
+    elif isinstance(scheme, NonIidLabel):
         if scheme.label not in data.labels:
             raise ValueError(f"label {scheme.label} not present in dataset")
         if scheme.holders > k:
@@ -149,14 +137,15 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
                     f"{scheme.holders} holder shard(s) cannot absorb them "
                     f"while keeping shards balanced")
         rest = rng.permutation(np.flatnonzero(data.labels != scheme.label))
-        pos = 0
-        for i in range(k):
-            need = targets[i] - len(shards[i])
-            shards[i].extend(rest[pos:pos + need])
-            pos += need
-        return Partition(shards=[np.array(s, dtype=np.int64) for s in shards])
-
-    raise TypeError(f"unknown partition scheme {scheme!r}")
+    else:
+        raise TypeError(f"unknown partition scheme {scheme!r}")
+    # Top every shard up to its target size from the remaining samples.
+    pos = 0
+    for i in range(k):
+        need = targets[i] - len(shards[i])
+        shards[i].extend(rest[pos:pos + need])
+        pos += need
+    return [np.array(s, dtype=np.int64) for s in shards]
 
 
 # --- communication cost -----------------------------------------------------
@@ -171,49 +160,23 @@ class CostLedger:
         return self.bytes_state + self.bytes_sync
 
 
-def payload_bytes(payload) -> int:
-    """Wire size of one worker's payload under the 4-byte-entry model.
+def allreduce_average(payload, ledger: CostLedger, category: str):
+    """Average one payload per worker; charge K times one worker's entries.
 
-    A stacked payload (the rows of a (K, d) matrix, or K workers' states in
-    one LocalState) is measured per worker.
+    A "model-sync" payload is the rows of a (K, d) matrix, averaged in
+    ascending worker order; a "state" payload is one LocalState stacking K
+    workers' states, which reports its own entry count.
     """
-    if isinstance(payload, np.ndarray):
-        return WIRE_BYTES_PER_ENTRY * payload.shape[-1]
-    if isinstance(payload, LocalState):
-        if payload.is_sketch:
-            rows, cols = payload.summary.rows.shape[-2:]
-            return WIRE_BYTES_PER_ENTRY * (rows * cols + 1)
-        return WIRE_BYTES_PER_ENTRY * 2
-    raise TypeError(f"unsupported payload {type(payload)!r}")
-
-
-def allreduce_average(payloads, ledger: CostLedger,
-                      category: Optional[str] = None):
-    """Average K same-kind payloads and charge K * payload_bytes.
-
-    Payloads are a list of per-worker vectors or states, the rows of a
-    (K, d) matrix, or one LocalState stacking K workers' states.  Vectors
-    are averaged elementwise in ascending worker order; local states
-    average their norm and summary components.  Category defaults to
-    "model-sync" for vectors and "state" for local states.
-    """
-    stacked = isinstance(payloads, LocalState)
-    k = payloads.workers if stacked else len(payloads)
-    if k == 0:
-        raise ValueError("allreduce over an empty payload list")
-    first = payloads if stacked else payloads[0]
-    cost = k * payload_bytes(first)
-    if category is None:
-        category = "model-sync" if isinstance(first, np.ndarray) else "state"
-    if category == "state":
-        ledger.bytes_state += cost
-    elif category == "model-sync":
-        ledger.bytes_sync += cost
-    else:
-        raise ValueError(f"unknown cost category {category!r}")
-    if isinstance(first, np.ndarray):
-        return average(payloads)
-    return fda_core.average_states(payloads)
+    if category == "model-sync" and isinstance(payload, np.ndarray):
+        mean = average(payload)  # raises, unbilled, unless (K, d) with K >= 1
+        ledger.bytes_sync += WIRE_BYTES_PER_ENTRY * payload.size
+        return mean
+    if category == "state" and isinstance(payload, LocalState):
+        ledger.bytes_state += (WIRE_BYTES_PER_ENTRY * payload.workers
+                               * payload.entries)
+        return fda_core.average_states(payload)
+    raise ValueError(
+        f"cannot reduce a {type(payload).__name__} as {category!r}")
 
 
 # --- run configuration ------------------------------------------------------
@@ -343,8 +306,8 @@ def run(config: RunConfig) -> RunReport:
     train, test = _load_datasets(config)
     d = param_count(config.model_kind, train.p, train.num_classes, config.hidden)
 
-    part = partition(train, k, config.partition_scheme,
-                     derive_seed(config.seed, _SEED_PARTITION))
+    shards = partition(train, k, config.partition_scheme,
+                       derive_seed(config.seed, _SEED_PARTITION))
     # The workers' average model; every worker starts from its params.
     mean_model = init_model(config.model_kind, train.p, train.num_classes,
                             config.hidden, init_scheme=config.init_scheme,
@@ -355,8 +318,8 @@ def run(config: RunConfig) -> RunReport:
     opt = config.optimizer.build((k, d))
     grad = np.empty((k, d))
     batch = np.empty((k, config.batch_size), dtype=np.int64)
-    samplers = [ShardSampler(part.shards[i], config.batch_size, config.seed, i)
-                for i in range(k)]
+    samplers = [ShardSampler(shard, config.batch_size, config.seed, i)
+                for i, shard in enumerate(shards)]
     steps_per_epoch = max(s.batches_per_pass for s in samplers)
     hook = config.strategy.start(d, w0, steps_per_epoch)
 
@@ -368,8 +331,8 @@ def run(config: RunConfig) -> RunReport:
     reached = False
     test_accuracy = 0.0
 
-    def reduce(payloads, category: str):
-        return allreduce_average(payloads, ledger, category)
+    def reduce(payload, category: str):
+        return allreduce_average(payload, ledger, category)
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []

@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 
 from . import sketch as sk
-from .learner import OptimizerSpec, OptimizerState, apply_gradient
+from .learner import OptimizerSpec, apply_gradient
 from .vecmath import ParamVector, average, dot, norm_sq, ordered_sum
 
 Drift = ParamVector
@@ -56,15 +56,16 @@ class LocalState:
         """How many workers' states this holds (1 for a single pair)."""
         return int(np.size(self.drift_norm_sq))
 
+    @property
+    def entries(self) -> int:
+        """Wire entries per worker: the norm, plus l*m sketch or 1 scalar."""
+        return 1 + (self.summary.rows.size if self.is_sketch else 1)
+
 
 @dataclass
 class AveragedState:
     mean_drift_norm_sq: float
     mean_summary: Union[sk.AmsSketch, float]
-
-    @property
-    def is_sketch(self) -> bool:
-        return isinstance(self.mean_summary, sk.AmsSketch)
 
 
 def variance_exact(models) -> float:
@@ -108,7 +109,7 @@ def _stack(states: list[LocalState]) -> LocalState:
         raise ValueError("cannot average sketch and scalar states together")
     if states[0].is_sketch:
         rows = ordered_sum(np.stack([s.summary.rows for s in states]))
-        summary = sk.sketch_scale(1.0 / len(states), sk.AmsSketch(rows=rows))
+        summary = sk.AmsSketch(rows=(1.0 / len(states)) * rows)
     else:
         summary = np.array([s.summary for s in states], dtype=np.float64)
     return LocalState(
@@ -120,8 +121,10 @@ def _stack(states: list[LocalState]) -> LocalState:
 def average_states(states) -> AveragedState:
     """Elementwise mean of K same-kind states, in ascending worker order.
 
-    Takes a list of single-worker states or one stacked state, whose sketch
-    already is the mean of the K workers' sketches."""
+    Takes a list of single-worker states, one such state, or one stacked
+    state, whose sketch already is the mean of the K workers' sketches."""
+    if isinstance(getattr(states, "drift_norm_sq", None), float):
+        states = [states]  # one worker's state, built from a (d,) drift
     if not isinstance(states, LocalState):
         states = _stack(states)
     k = states.workers
@@ -134,8 +137,6 @@ def average_states(states) -> AveragedState:
 
 def h_sketch(avg: AveragedState, eps: float) -> float:
     """Sketch-based overestimate: mean||u||^2 - M2(mean sketch)/(1+eps)."""
-    if not avg.is_sketch:
-        raise ValueError("h_sketch needs sketch-kind averaged state")
     if eps <= 0:
         raise ValueError("eps must be positive")
     return avg.mean_drift_norm_sq - sk.m2_estimate(avg.mean_summary) / (1.0 + eps)
@@ -143,8 +144,6 @@ def h_sketch(avg: AveragedState, eps: float) -> float:
 
 def h_linear(avg: AveragedState) -> float:
     """Projection-based overestimate: mean||u||^2 - (mean <xi,u>)^2."""
-    if avg.is_sketch:
-        raise ValueError("h_linear needs scalar-kind averaged state")
     return avg.mean_drift_norm_sq - avg.mean_summary ** 2
 
 
@@ -162,10 +161,10 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 
 # --- synchronization strategies -------------------------------------------
 
-# reduce(payloads, category) is the charged AllReduce: it averages one
-# payload per worker (the rows of a (K, d) matrix, or K workers' states in
-# one stacked LocalState) and bills the ledger under "state" or
-# "model-sync".
+# reduce(payload, category) is the charged AllReduce: it averages one
+# payload per worker, the rows of a (K, d) matrix under "model-sync" or K
+# workers' states stacked in one LocalState under "state", and bills the
+# ledger K times one worker's entries.
 Reduce = Callable[[object, str], object]
 # hook(t, (K, d) worker params, reduce) -> (H or None, new common model or
 # None).  The hook reads the matrix and must not keep or modify it.
@@ -362,7 +361,7 @@ class FedOpt(SyncStrategy):
             if t % period:
                 return None, None
             delta = reduce(params - w_global, "model-sync")
-            w_global = fedopt_server_update(w_global, delta, server_opt)
+            w_global = apply_gradient(server_opt, w_global.copy(), -delta)
             return None, w_global
 
         return hook
@@ -370,14 +369,3 @@ class FedOpt(SyncStrategy):
 
 STRATEGIES = {s.label: s
               for s in (SketchFda, LinearFda, Synchronous, LocalSgd, FedOpt)}
-
-
-def fedopt_server_update(global_params: ParamVector,
-                         mean_client_delta: ParamVector,
-                         server_opt: OptimizerState) -> ParamVector:
-    """Apply the server optimizer to the pseudo-gradient -mean_client_delta.
-
-    With a plain SGD server at lr 1 this reduces to averaging the client
-    models (global + mean delta).
-    """
-    return apply_gradient(server_opt, global_params.copy(), -mean_client_delta)

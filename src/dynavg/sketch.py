@@ -62,7 +62,7 @@ class SketchTransform:
 class AmsSketch:
     """l x m output of a transform; additive in the sketched vector."""
 
-    rows: np.ndarray  # (l, m) float64; (K, l, m) for K stacked sketches
+    rows: np.ndarray  # (l, m) float64
 
 
 def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
@@ -82,25 +82,13 @@ def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
 
 
 def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
-    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j.
-
-    A (K, d) matrix gives K sketches stacked as (K, l, m) rows, each made
-    by the same per-row bincount as a single vector's, so no (K, l, d)
-    temporary is built.
-    """
-    if v.shape[-1:] != (t.d,) or v.ndim > 2:
+    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j."""
+    if v.shape != (t.d,):
         raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
-    vs = v.reshape(-1, t.d)
-    rows = np.empty((len(vs), t.l, t.m), dtype=np.float64)
-    for k, x in enumerate(vs):
-        for i in range(t.l):
-            rows[k, i] = np.bincount(t._bins[i], weights=t.signs[i] * x,
-                                     minlength=t.m)
-    return AmsSketch(rows=rows.reshape(v.shape[:-1] + (t.l, t.m)))
-
-
-def sketch_scale(alpha: float, a: AmsSketch) -> AmsSketch:
-    return AmsSketch(rows=alpha * a.rows)
+    rows = np.empty((t.l, t.m), dtype=np.float64)
+    for i in range(t.l):
+        rows[i] = np.bincount(t._bins[i], weights=t.signs[i] * v, minlength=t.m)
+    return AmsSketch(rows=rows)
 
 
 def m2_estimate(s: AmsSketch) -> float:

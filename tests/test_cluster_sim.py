@@ -32,73 +32,73 @@ def blobs_config(strategy, *, workers=3, n=600, p=8, classes=3, batch=16,
 
 # --- partitioning -----------------------------------------------------------
 
-def check_partition_invariants(part, n):
-    all_idx = np.concatenate(part.shards)
+def check_partition_invariants(shards, n):
+    all_idx = np.concatenate(shards)
     assert len(all_idx) == n
     assert len(np.unique(all_idx)) == n
-    sizes = [len(s) for s in part.shards]
+    sizes = [len(s) for s in shards]
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_partition_iid_single_worker():
     data = learner.make_blobs(100, 2, 2, seed=0)
-    part = cs.partition(data, 1, cs.Iid(), seed=1)
-    assert sorted(part.shards[0]) == list(range(100))
+    shards = cs.partition(data, 1, cs.Iid(), seed=1)
+    assert sorted(shards[0]) == list(range(100))
 
 
 def test_partition_iid_invariants():
     data = learner.make_blobs(103, 2, 4, seed=1)
-    part = cs.partition(data, 5, cs.Iid(), seed=2)
-    check_partition_invariants(part, 103)
+    shards = cs.partition(data, 5, cs.Iid(), seed=2)
+    check_partition_invariants(shards, 103)
 
 
 def test_partition_deterministic():
     data = learner.make_blobs(60, 2, 3, seed=2)
     a = cs.partition(data, 4, cs.Iid(), seed=3)
     b = cs.partition(data, 4, cs.Iid(), seed=3)
-    for sa, sb in zip(a.shards, b.shards):
+    for sa, sb in zip(a, b):
         np.testing.assert_array_equal(sa, sb)
 
 
 def test_partition_fraction_fully_sorted_two_classes():
     data = learner.make_blobs(200, 2, 2, seed=3)
-    part = cs.partition(data, 2, cs.NonIidFraction(percent=100.0), seed=4)
-    check_partition_invariants(part, 200)
-    for shard in part.shards:
+    shards = cs.partition(data, 2, cs.NonIidFraction(percent=100.0), seed=4)
+    check_partition_invariants(shards, 200)
+    for shard in shards:
         assert len(np.unique(data.labels[shard])) == 1  # label-pure
 
 
 def test_partition_fraction_partial_skews_labels():
     data = learner.make_blobs(900, 2, 3, seed=4)
-    part = cs.partition(data, 3, cs.NonIidFraction(percent=60.0), seed=5)
-    check_partition_invariants(part, 900)
+    shards = cs.partition(data, 3, cs.NonIidFraction(percent=60.0), seed=5)
+    check_partition_invariants(shards, 900)
     # With 60% sorted, each worker's label histogram is visibly uneven.
-    hists = [np.bincount(data.labels[s], minlength=3) for s in part.shards]
+    hists = [np.bincount(data.labels[s], minlength=3) for s in shards]
     assert any(h.max() - h.min() > 60 for h in hists)
 
 
 def test_partition_fraction_zero_is_iid_like():
     data = learner.make_blobs(90, 2, 3, seed=5)
-    part = cs.partition(data, 3, cs.NonIidFraction(percent=0.0), seed=6)
-    check_partition_invariants(part, 90)
+    shards = cs.partition(data, 3, cs.NonIidFraction(percent=0.0), seed=6)
+    check_partition_invariants(shards, 90)
 
 
 def test_partition_label_holder_takes_all():
     data = learner.make_blobs(600, 2, 3, seed=6)
-    part = cs.partition(data, 3, cs.NonIidLabel(label=0, holders=1), seed=7)
-    check_partition_invariants(part, 600)
+    shards = cs.partition(data, 3, cs.NonIidLabel(label=0, holders=1), seed=7)
+    check_partition_invariants(shards, 600)
     label0 = set(np.flatnonzero(data.labels == 0))
-    assert label0 <= set(part.shards[0].tolist())
-    for shard in part.shards[1:]:
+    assert label0 <= set(shards[0].tolist())
+    for shard in shards[1:]:
         assert not (label0 & set(shard.tolist()))
 
 
 def test_partition_label_two_holders_split():
     data = learner.make_blobs(600, 2, 3, seed=7)
-    part = cs.partition(data, 4, cs.NonIidLabel(label=1, holders=2), seed=8)
-    check_partition_invariants(part, 600)
+    shards = cs.partition(data, 4, cs.NonIidLabel(label=1, holders=2), seed=8)
+    check_partition_invariants(shards, 600)
     label1 = set(np.flatnonzero(data.labels == 1))
-    held = set(part.shards[0].tolist()) | set(part.shards[1].tolist())
+    held = set(shards[0].tolist()) | set(shards[1].tolist())
     assert label1 <= held
 
 
@@ -128,50 +128,67 @@ def test_partition_label_capacity_error():
 
 def test_allreduce_model_bytes():
     ledger = cs.CostLedger()
-    payloads = [np.zeros(7850) for _ in range(5)]
-    cs.allreduce_average(payloads, ledger)
+    cs.allreduce_average(np.zeros((5, 7850)), ledger, "model-sync")
     assert ledger.bytes_sync == 157_000
     assert ledger.bytes_state == 0
 
 
 def test_allreduce_sketch_state_bytes():
     t = sketch.make_transform(100, 5, 250, seed=0)
-    states = [fda_core.make_local_state_sketch(np.zeros(100), t)
-              for _ in range(5)]
+    state = fda_core.make_local_state_sketch(np.zeros((5, 100)), t)
     ledger = cs.CostLedger()
-    cs.allreduce_average(states, ledger)
+    cs.allreduce_average(state, ledger, "state")
     assert ledger.bytes_state == 5 * (5000 + 4)
+    assert ledger.bytes_sync == 0
 
 
 def test_allreduce_linear_state_bytes():
-    states = [fda_core.make_local_state_linear(np.ones(4), None)
-              for _ in range(3)]
+    state = fda_core.make_local_state_linear(np.ones((3, 4)), None)
     ledger = cs.CostLedger()
-    cs.allreduce_average(states, ledger)
+    cs.allreduce_average(state, ledger, "state")
     assert ledger.bytes_state == 3 * 8
+    assert ledger.bytes_sync == 0
 
 
 def test_allreduce_single_worker_identity():
     ledger = cs.CostLedger()
     v = np.array([1.0, 2.0, 3.0])
-    out = cs.allreduce_average([v], ledger)
+    out = cs.allreduce_average(v[None], ledger, "model-sync")
     np.testing.assert_array_equal(out, v)
     assert ledger.bytes_sync == 12
 
 
 def test_allreduce_mean_and_conservation():
     ledger = cs.CostLedger()
-    vs = [np.array([1.0, 5.0]), np.array([3.0, -1.0])]
-    out = cs.allreduce_average(vs, ledger)
+    vs = np.array([[1.0, 5.0], [3.0, -1.0]])
+    out = cs.allreduce_average(vs, ledger, "model-sync")
     np.testing.assert_allclose(out, [2.0, 2.0], rtol=1e-12)
 
 
 def test_allreduce_shape_mismatch():
+    # Only a (K, d) matrix with K >= 1 is a model payload; nothing is billed
+    # for a rejected one.
     ledger = cs.CostLedger()
-    with pytest.raises(ValueError):
-        cs.allreduce_average([np.zeros(3), np.zeros(4)], ledger)
-    with pytest.raises(ValueError):
-        cs.allreduce_average([], ledger)
+    for payload in (np.zeros(3), np.zeros((2, 3, 4)), np.zeros((0, 3)),
+                    [np.zeros(3), np.zeros(3)]):
+        with pytest.raises(ValueError):
+            cs.allreduce_average(payload, ledger, "model-sync")
+    assert ledger.bytes_total == 0
+
+
+def test_allreduce_rejects_unknown_or_mismatched_category():
+    ledger = cs.CostLedger()
+    matrix = np.ones((2, 3))
+    state = fda_core.make_local_state_linear(matrix, None)
+    listed = [fda_core.make_local_state_linear(u, None) for u in matrix]
+    cases = [(matrix, "gradient"), (state, "gradient"), (matrix, None),
+             (matrix, "state"), (state, "model-sync"), (listed, "state")]
+    for payload, category in cases:
+        with pytest.raises(ValueError):
+            cs.allreduce_average(payload, ledger, category)
+    with pytest.raises(TypeError):  # the category is never inferred
+        cs.allreduce_average(matrix, ledger)
+    assert ledger.bytes_total == 0
 
 
 # --- full runs --------------------------------------------------------------
@@ -267,11 +284,11 @@ def test_single_node_equivalence_oracle():
     assert report.final_steps == 200
 
     train, _ = cs._load_datasets(cfg)
-    part = cs.partition(train, k, cs.Iid(),
-                        cs.derive_seed(seed, cs._SEED_PARTITION))
+    shards = cs.partition(train, k, cs.Iid(),
+                          cs.derive_seed(seed, cs._SEED_PARTITION))
     model = learner.init_model("logistic", train.p, train.num_classes,
                                seed=cs.derive_seed(seed, cs._SEED_INIT))
-    samplers = [learner.ShardSampler(part.shards[i], b, seed, i)
+    samplers = [learner.ShardSampler(shards[i], b, seed, i)
                 for i in range(k)]
     params = model.params.copy()
     for _ in range(report.final_steps):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynavg import cluster_sim as cs
-from dynavg import fda_core, learner, sketch, vecmath
+from dynavg import fda_core, sketch, vecmath
 from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
@@ -131,6 +131,17 @@ def test_state_averaging_values():
     assert avg.mean_drift_norm_sq == pytest.approx(expected_norm, rel=1e-12)
     expected_rows = sum(sketch.apply(t, u).rows for u in drifts) / 3
     np.testing.assert_allclose(avg.mean_summary.rows, expected_rows, rtol=1e-12)
+    # One worker's state, built from a (d,) drift, averages to itself.
+    xi = drifts[1] / np.linalg.norm(drifts[1])
+    for state in (fda_core.make_local_state_sketch(drifts[0], t),
+                  fda_core.make_local_state_linear(drifts[0], None),
+                  fda_core.make_local_state_linear(drifts[0], xi)):
+        avg = fda_core.average_states(state)
+        assert avg.mean_drift_norm_sq == state.drift_norm_sq
+        if state.is_sketch:
+            assert np.array_equal(avg.mean_summary.rows, state.summary.rows)
+        else:
+            assert avg.mean_summary == state.summary
 
 
 def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
@@ -166,7 +177,7 @@ def ref_average_states(states):
 @pytest.mark.parametrize("k", [3, 9])
 def test_batched_states_match_per_worker_path(k):
     # Building all K states from the (K, d) drift matrix must give the same
-    # norms, ledger bytes and (for projections) averages and H as K
+    # norms, wire entries and (for projections) averages and H as K
     # per-worker calls.  The batched sketch state is one sketch of the mean
     # drift, so its average equals the mean of the K sketches up to
     # rounding.  K = 9 would expose numpy's pairwise summation of 8 or more
@@ -207,14 +218,15 @@ def test_batched_states_match_per_worker_path(k):
             assert batched.drift_norm_sq[i] == state.drift_norm_sq
             if not state.is_sketch:
                 assert batched.summary[i] == state.summary
+        assert {s.entries for s in per_worker} == {batched.entries}
         ref_norm, ref_summary = ref_average_states(per_worker)
-        ledgers = cs.CostLedger(), cs.CostLedger()
-        averaged = [cs.allreduce_average(payload, ledger, "state")
-                    for payload, ledger in zip((per_worker, batched), ledgers)]
-        assert ledgers[0].bytes_state == ledgers[1].bytes_state > 0
+        ledger = cs.CostLedger()
+        listed = fda_core.average_states(per_worker)
+        stacked = cs.allreduce_average(batched, ledger, "state")
+        assert ledger.bytes_state == k * 4 * batched.entries > 0
+        averaged = listed, stacked
         for avg in averaged:
             assert avg.mean_drift_norm_sq == ref_norm
-        listed, stacked = averaged
         if transform is None:
             for avg in averaged:
                 assert avg.mean_summary == ref_summary
@@ -271,17 +283,12 @@ def test_h_sketch_with_perfect_estimate_overestimates():
         assert h >= var - 1e-12
 
 
-def test_h_sketch_kind_and_eps_validation():
-    avg = fda_core.AveragedState(mean_drift_norm_sq=1.0, mean_summary=0.5)
-    with pytest.raises(ValueError):
-        fda_core.h_sketch(avg, eps=0.5)
+def test_h_sketch_eps_validation():
     t = sketch.make_transform(4, 1, 2, seed=9)
     sk_avg = fda_core.average_states(
         [fda_core.make_local_state_sketch(np.ones(4), t)])
     with pytest.raises(ValueError):
         fda_core.h_sketch(sk_avg, eps=0.0)
-    with pytest.raises(ValueError):
-        fda_core.h_linear(sk_avg)
 
 
 def test_h_linear_hand_example():
@@ -448,20 +455,33 @@ def test_validate_strategy():
 
 # --- server optimization ----------------------------------------------------
 
+def server_round(strategy, w_global, params):
+    """Run one FedOpt round from `w_global` on the (K, d) worker models."""
+    hook = strategy.start(len(w_global), w_global, 1)
+    h, common = hook(1, params, recording_reduce([]))
+    assert h is None
+    return common
+
+
 def test_fedopt_zero_delta_keeps_global():
-    opt = FedOpt(server_kind="sgd-momentum", server_lr=0.316,
-                 server_momentum=0.0).server_optimizer.build(4)
+    strategy = FedOpt(server_kind="sgd-momentum", server_lr=0.316,
+                      server_momentum=0.0)
     w = np.array([1.0, -2.0, 0.5, 0.0])
-    out = fda_core.fedopt_server_update(w, np.zeros(4), opt)
+    out = server_round(strategy, w, np.tile(w, (3, 1)))
     np.testing.assert_array_equal(out, w)
+    assert out is not w
 
 
 def test_fedopt_plain_averaging_reduces_to_fedavg():
-    opt = learner.OptimizerSpec(kind="sgd", lr=1.0).build(3)
+    # A momentum-free SGD server at lr 1 steps to the mean client model.
+    strategy = FedOpt(server_kind="sgd-momentum", server_lr=1.0,
+                      server_momentum=0.0)
     w = np.array([1.0, 1.0, 1.0])
     delta = np.array([0.5, -0.5, 0.25])
-    out = fda_core.fedopt_server_update(w, delta, opt)
+    params = w + np.array([delta - 0.25, delta + 0.25])
+    out = server_round(strategy, w, params)
     np.testing.assert_allclose(out, w + delta, rtol=1e-15)
+    np.testing.assert_array_equal(w, [1.0, 1.0, 1.0])  # the server copies
 
 
 def test_fedopt_momentum_matches_recurrence():
@@ -469,10 +489,10 @@ def test_fedopt_momentum_matches_recurrence():
     rng = np.random.default_rng(12)
     w = rng.standard_normal(d)
     deltas = [rng.standard_normal(d) for _ in range(3)]
-    opt = FedOpt().server_optimizer.build(d)
+    hook = FedOpt().start(d, w, 1)
     got = w
-    for delta in deltas:
-        got = fda_core.fedopt_server_update(got, delta, opt)
+    for t, delta in enumerate(deltas, start=1):
+        _, got = hook(t, (got + delta)[None], recording_reduce([]))
     vel = np.zeros(d)
     expected = w
     for delta in deltas:
