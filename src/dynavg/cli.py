@@ -16,36 +16,26 @@ import argparse
 import csv
 import glob
 import json
-import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from typing import Optional
 
 import yaml
 
 from .cluster_sim import (
-    BlobsSpec,
-    IdxSpec,
+    DATASETS,
+    PARTITIONS,
     Iid,
-    NonIidFraction,
-    NonIidLabel,
     OptimizerSpec,
     RunConfig,
     RunDivergedError,
     RunReport,
     run,
 )
-from .fda_core import STRATEGIES
-from .learner import (
-    IDX_IMAGES_MAGIC,
-    IDX_LABELS_MAGIC,
-    INIT_SCHEMES,
-    MODEL_KINDS,
-    idx_shape,
-    param_count,
-    read_idx,
-)
+from .fda_core import STRATEGIES, Synchronous
+from .learner import param_count
+from .schema import child, read, write
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -75,88 +65,35 @@ def theta_preset(profile: str, d: int) -> float:
 
 # --- config parsing ---------------------------------------------------------
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing {context} field {key!r}")
-    return mapping[key]
+# RunConfig fields kept under another key than their own name.
+RUN_KEYS = {"model_kind": "model.kind", "hidden": "model.hidden",
+            "init_scheme": "model.init", "partition_scheme": "partition",
+            "metrics_csv": "output.metrics_csv",
+            "events_jsonl": "output.events_jsonl"}
 
 
-def _parse_dataset(node: dict):
-    kind = _require(node, "kind", "dataset")
-    if kind == "blobs":
-        return BlobsSpec(
-            n=int(_require(node, "n", "blobs dataset")),
-            p=int(_require(node, "p", "blobs dataset")),
-            num_classes=int(_require(node, "classes", "blobs dataset")),
-            test_n=int(node.get("test_n", 1000)),
-            seed=None if node.get("seed") is None else int(node["seed"]))
-    if kind == "idx":
-        spec = IdxSpec(
-            train_images=str(_require(node, "train_images", "idx dataset")),
-            train_labels=str(_require(node, "train_labels", "idx dataset")),
-            test_images=str(_require(node, "test_images", "idx dataset")),
-            test_labels=str(_require(node, "test_labels", "idx dataset")))
-        for path in (spec.train_images, spec.train_labels,
-                     spec.test_images, spec.test_labels):
-            if not os.path.exists(path):
-                raise ConfigError(f"dataset file not found: {path}")
-        return spec
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+def _spec_class(table: dict, node: dict, key: str, what: str, default=None):
+    """The class that `node[key]` names in `table`."""
+    name = node.get(key, default)
+    if name is None:
+        raise ConfigError(f"missing {what} field {key!r}")
+    if name not in table:
+        raise ConfigError(f"unknown {what} {key} {name!r}")
+    return table[name]
 
 
-def _parse_partition(node: Optional[dict]):
-    if node is None:
-        return Iid()
-    scheme = node.get("scheme", "iid")
-    if scheme == "iid":
-        return Iid()
-    if scheme == "noniid-fraction":
-        return NonIidFraction(percent=float(_require(node, "percent", "partition")))
-    if scheme == "noniid-label":
-        return NonIidLabel(label=int(_require(node, "label", "partition")),
-                           holders=int(node.get("holders", 1)))
-    raise ConfigError(f"unknown partition scheme {scheme!r}")
-
-
-def _parse_optimizer(node: Optional[dict]) -> OptimizerSpec:
-    if node is None:
-        return OptimizerSpec()
-    return OptimizerSpec(
-        kind=str(node.get("kind", "sgd")),
-        lr=float(node.get("lr", 0.01)),
-        momentum=float(node.get("momentum", 0.9)),
-        nesterov=bool(node.get("nesterov", False)),
-        beta1=float(node.get("beta1", 0.9)),
-        beta2=float(node.get("beta2", 0.999)),
-        eps=float(node.get("eps", 1e-8)),
-        weight_decay=float(node.get("weight_decay", 0.0)))
-
-
-def _model_dim(mapping: dict, dataset) -> int:
-    model = mapping.get("model", {})
-    kind = model.get("kind", "logistic")
-    hidden = int(model.get("hidden", 0))
-    if isinstance(dataset, BlobsSpec):
-        return param_count(kind, dataset.p, dataset.num_classes, hidden)
-    dims = idx_shape(dataset.train_images, IDX_IMAGES_MAGIC, "images")
-    labels = read_idx(dataset.train_labels, IDX_LABELS_MAGIC, "labels")
-    return param_count(kind, math.prod(dims[1:]), int(labels.max()) + 1, hidden)
-
-
-def _parse_strategy(node: dict, mapping: dict, dataset):
-    kind = _require(node, "kind", "strategy")
-    if kind not in STRATEGIES:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-
-    def theta() -> float:
-        if "theta" in node and "theta_profile" in node:
-            raise ConfigError("give either theta or theta_profile, not both")
-        if "theta_profile" in node:
-            return theta_preset(str(node["theta_profile"]),
-                                _model_dim(mapping, dataset))
-        return float(_require(node, "theta", f"{kind} strategy"))
-
-    return STRATEGIES[kind].from_node(node, theta)
+def _theta(node: dict, config: RunConfig) -> float:
+    """A strategy node's theta, or its theta_profile preset at the
+    config's model dimension."""
+    if "theta" in node and "theta_profile" in node:
+        raise ConfigError("give either theta or theta_profile, not both")
+    if "theta_profile" in node:
+        d = param_count(config.model_kind, *config.dataset.shape(),
+                        config.hidden)
+        return theta_preset(str(node["theta_profile"]), d)
+    if "theta" not in node:
+        raise ConfigError(f"missing {node['kind']} strategy field 'theta'")
+    return float(node["theta"])
 
 
 def parse_config(mapping: dict) -> RunConfig:
@@ -167,57 +104,24 @@ def parse_config(mapping: dict) -> RunConfig:
     if not isinstance(mapping, dict):
         raise ConfigError("config root must be a mapping")
     try:
-        dataset = _parse_dataset(_require(mapping, "dataset", "config"))
-        strategy = _parse_strategy(_require(mapping, "strategy", "config"),
-                                   mapping, dataset)
-        model = mapping.get("model", {})
-        output = mapping.get("output", {})
-        config = RunConfig(
-            dataset=dataset,
-            strategy=strategy,
-            workers=int(_require(mapping, "workers", "config")),
-            batch_size=int(_require(mapping, "batch_size", "config")),
-            model_kind=str(model.get("kind", "logistic")),
-            hidden=int(model.get("hidden", 0)),
-            init_scheme=str(model.get("init", "glorot-uniform")),
-            optimizer=_parse_optimizer(mapping.get("optimizer")),
-            partition_scheme=_parse_partition(mapping.get("partition")),
-            accuracy_target=float(mapping.get("accuracy_target", 1.0)),
-            max_epochs=int(mapping.get("max_epochs", 10)),
-            seed=int(mapping.get("seed", 0)),
-            audit_variance=bool(mapping.get("audit_variance", False)),
-            metrics_csv=output.get("metrics_csv"),
-            events_jsonl=output.get("events_jsonl"))
+        data, part = child(mapping, "dataset"), child(mapping, "partition")
+        node = child(mapping, "strategy")
+        strategy = _spec_class(STRATEGIES, node, "kind", "strategy")
+        config = read(
+            RunConfig, mapping, RUN_KEYS,
+            dataset=_spec_class(DATASETS, data, "kind", "dataset")
+            .from_node(data),
+            strategy=Synchronous(),  # replaced once theta can resolve
+            optimizer=OptimizerSpec.from_node(child(mapping, "optimizer")),
+            partition_scheme=_spec_class(PARTITIONS, part, "scheme",
+                                         "partition", Iid.scheme)
+            .from_node(part))
+        return replace(config, strategy=strategy.from_node(
+            node, lambda: _theta(node, config)))
     except ConfigError:
         raise
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: RunConfig) -> None:
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if config.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if config.max_epochs < 1:
-        raise ConfigError("max_epochs must be >= 1")
-    if config.model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {config.model_kind!r}")
-    if MODEL_KINDS[config.model_kind] and config.hidden < 1:
-        raise ConfigError(f"{config.model_kind} model needs hidden >= 1")
-    if config.init_scheme not in INIT_SCHEMES:
-        raise ConfigError(f"unknown init scheme {config.init_scheme!r}")
-    part = config.partition_scheme
-    if isinstance(part, NonIidLabel):
-        if part.holders > config.workers:
-            raise ConfigError(f"partition holders ({part.holders}) exceed "
-                              f"workers ({config.workers})")
-        ds = config.dataset
-        if isinstance(ds, BlobsSpec) and not 0 <= part.label < ds.num_classes:
-            raise ConfigError(f"partition label {part.label} not in "
-                              f"[0, {ds.num_classes})")
 
 
 def load_config(path: str) -> RunConfig:
@@ -231,40 +135,7 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_mapping(config: RunConfig) -> dict:
     """Serialize a RunConfig so that parse_config round-trips it."""
-    ds = config.dataset
-    if isinstance(ds, BlobsSpec):
-        dataset = {"kind": "blobs", "n": ds.n, "p": ds.p,
-                   "classes": ds.num_classes, "test_n": ds.test_n,
-                   "seed": ds.seed}
-    else:
-        dataset = {"kind": "idx", "train_images": ds.train_images,
-                   "train_labels": ds.train_labels,
-                   "test_images": ds.test_images,
-                   "test_labels": ds.test_labels}
-    part = config.partition_scheme
-    if isinstance(part, Iid):
-        partition = {"scheme": "iid"}
-    elif isinstance(part, NonIidFraction):
-        partition = {"scheme": "noniid-fraction", "percent": part.percent}
-    else:
-        partition = {"scheme": "noniid-label", "label": part.label,
-                     "holders": part.holders}
-    return {
-        "dataset": dataset,
-        "strategy": config.strategy.to_node(),
-        "model": {"kind": config.model_kind, "hidden": config.hidden,
-                  "init": config.init_scheme},
-        "optimizer": asdict(config.optimizer),
-        "partition": partition,
-        "workers": config.workers,
-        "batch_size": config.batch_size,
-        "accuracy_target": config.accuracy_target,
-        "max_epochs": config.max_epochs,
-        "seed": config.seed,
-        "audit_variance": config.audit_variance,
-        "output": {"metrics_csv": config.metrics_csv,
-                   "events_jsonl": config.events_jsonl},
-    }
+    return write(config, RUN_KEYS)
 
 
 # --- report writing ---------------------------------------------------------
@@ -302,12 +173,8 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
     """Run one config; write reports; return the run's exit code."""
     try:
         config = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if audit_variance:
-        config.audit_variance = True
-    try:
+        if audit_variance:
+            config.audit_variance = True
         report = run(config)
     except RunDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
@@ -341,8 +208,7 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
         try:
             config = load_config(path)
             report = run(config)
-        except (ConfigError, RunDivergedError, ValueError, TypeError,
-                OSError) as exc:
+        except (RunDivergedError, ValueError, TypeError, OSError) as exc:
             print(f"{name}: failed ({exc})", file=sys.stderr)
             rows.append({"strategy": "", "theta": "", "workers": "",
                          "reached_target": "", "steps": "", "bytes": "",

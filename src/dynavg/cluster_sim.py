@@ -17,26 +17,34 @@ through an oracle channel that is never charged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import os
+from dataclasses import astuple, dataclass, field
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from . import fda_core
 from .fda_core import LocalState, SyncStrategy
 from .learner import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
+    INIT_SCHEMES,
+    MODEL_KINDS,
     Dataset,
     Model,
     OptimizerSpec,
     ShardSampler,
     apply_gradient,
     evaluate,
+    idx_shape,
     init_model,
     load_idx,
     loss_and_grad,
     make_blobs,
     param_count,
+    read_idx,
 )
+from .schema import ensure, read, write
 from .vecmath import ParamVector, average
 
 WIRE_BYTES_PER_ENTRY = 4
@@ -59,31 +67,56 @@ def derive_seed(run_seed: int, *tags: int) -> int:
 
 # --- data partitioning ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Iid:
-    pass
+class PartitionScheme:
+    """A frozen partition config that validates itself and maps to and
+    from its YAML `partition` node, which `scheme` names."""
+
+    scheme: ClassVar[str]
+
+    @classmethod
+    def from_node(cls, node: dict):
+        return read(cls, node)
+
+    def to_node(self) -> dict:
+        return {"scheme": self.scheme, **write(self)}
+
+    def check(self, workers: int, classes: Optional[int]) -> None:
+        """Reject a scheme that the run's workers or its dataset's class
+        count (None when unknown before loading) cannot meet."""
 
 
 @dataclass(frozen=True)
-class NonIidFraction:
+class Iid(PartitionScheme):
+    scheme: ClassVar[str] = "iid"
+
+
+@dataclass(frozen=True)
+class NonIidFraction(PartitionScheme):
     percent: float
+    scheme: ClassVar[str] = "noniid-fraction"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.percent <= 100.0:
-            raise ValueError(f"fraction {self.percent} not in [0, 100]")
+        ensure(0.0 <= self.percent <= 100.0,
+               f"fraction {self.percent} not in [0, 100]")
 
 
 @dataclass(frozen=True)
-class NonIidLabel:
+class NonIidLabel(PartitionScheme):
     label: int
     holders: int = 1
+    scheme: ClassVar[str] = "noniid-label"
 
     def __post_init__(self) -> None:
-        if self.holders < 1:
-            raise ValueError(f"holder count {self.holders} must be >= 1")
+        ensure(self.holders >= 1, f"holder count {self.holders} must be >= 1")
+
+    def check(self, workers, classes):
+        ensure(self.holders <= workers, f"partition holders ({self.holders}) "
+               f"exceed workers ({workers})")
+        ensure(classes is None or 0 <= self.label < classes,
+               f"partition label {self.label} not in [0, {classes})")
 
 
-PartitionScheme = Union[Iid, NonIidFraction, NonIidLabel]
+PARTITIONS = {s.scheme: s for s in (Iid, NonIidFraction, NonIidLabel)}
 
 
 def _target_sizes(n: int, k: int) -> list[int]:
@@ -183,26 +216,85 @@ def allreduce_average(payload, ledger: CostLedger, category: str):
 
 @dataclass(frozen=True)
 class BlobsSpec:
+    """Gaussian blobs (`learner.make_blobs`): n training and test_n test
+    samples of p features in num_classes classes."""
+
     n: int
     p: int
     num_classes: int
     test_n: int = 1000
     seed: Optional[int] = None  # derived from the run seed when omitted
+    kind: ClassVar[str] = "blobs"
+    node_keys: ClassVar[dict] = {"num_classes": "classes"}
+
+    @classmethod
+    def from_node(cls, node: dict) -> BlobsSpec:
+        return read(cls, node, cls.node_keys)
+
+    def to_node(self) -> dict:
+        return {"kind": self.kind, **write(self, self.node_keys)}
+
+    def shape(self) -> tuple[int, int]:
+        """(p, C): feature dimension and class count."""
+        return self.p, self.num_classes
+
+    def load(self, run_seed: int) -> tuple[Dataset, Dataset]:
+        """The (train, test) splits."""
+        if self.seed is None:
+            seeds = (derive_seed(run_seed, _SEED_BLOBS_TRAIN),
+                     derive_seed(run_seed, _SEED_BLOBS_TEST))
+        else:
+            seeds = (self.seed, self.seed + 1)
+        return (make_blobs(self.n, self.p, self.num_classes, seeds[0]),
+                make_blobs(self.test_n, self.p, self.num_classes, seeds[1]))
 
 
 @dataclass(frozen=True)
 class IdxSpec:
+    """IDX image/label files, optionally gzipped.  Both splits share one
+    class count: one more than the largest label of either."""
+
     train_images: str
     train_labels: str
     test_images: str
     test_labels: str
+    kind: ClassVar[str] = "idx"
+    num_classes: ClassVar[Optional[int]] = None  # known once labels are read
+
+    @classmethod
+    def from_node(cls, node: dict) -> IdxSpec:
+        spec = read(cls, node)
+        for path in astuple(spec):
+            ensure(os.path.exists(path), f"dataset file not found: {path}")
+        return spec
+
+    def to_node(self) -> dict:
+        return {"kind": self.kind, **write(self)}
+
+    def shape(self) -> tuple[int, int]:
+        """(p, C), from the image header and the label files."""
+        dims = idx_shape(self.train_images, IDX_IMAGES_MAGIC, "images")
+        labels = [read_idx(path, IDX_LABELS_MAGIC, "labels")
+                  for path in (self.train_labels, self.test_labels)]
+        return math.prod(dims[1:]), 1 + max(int(y.max()) for y in labels)
+
+    def load(self, run_seed: int) -> tuple[Dataset, Dataset]:
+        """The (train, test) splits; the run seed is not used."""
+        _, classes = self.shape()
+        train = load_idx(self.train_images, self.train_labels)
+        test = load_idx(self.test_images, self.test_labels)
+        train.num_classes = test.num_classes = classes
+        return train, test
 
 
 DatasetSpec = Union[BlobsSpec, IdxSpec]
+DATASETS = {s.kind: s for s in (BlobsSpec, IdxSpec)}
 
 
 @dataclass
 class RunConfig:
+    """One run; validates itself when constructed."""
+
     dataset: DatasetSpec
     strategy: SyncStrategy
     workers: int
@@ -218,6 +310,17 @@ class RunConfig:
     audit_variance: bool = False
     metrics_csv: Optional[str] = None
     events_jsonl: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in ("workers", "batch_size", "max_epochs"):
+            ensure(getattr(self, name) >= 1, f"{name} must be >= 1")
+        ensure(self.model_kind in MODEL_KINDS,
+               f"unknown model kind {self.model_kind!r}")
+        ensure(not MODEL_KINDS[self.model_kind] or self.hidden >= 1,
+               f"{self.model_kind} model needs hidden >= 1")
+        ensure(self.init_scheme in INIT_SCHEMES,
+               f"unknown init scheme {self.init_scheme!r}")
+        self.partition_scheme.check(self.workers, self.dataset.num_classes)
 
 
 # --- run reporting ----------------------------------------------------------
@@ -262,26 +365,6 @@ class RunReport:
 
 # --- the training loop ------------------------------------------------------
 
-def _load_datasets(config: RunConfig) -> tuple[Dataset, Dataset]:
-    ds = config.dataset
-    if isinstance(ds, BlobsSpec):
-        train_seed = ds.seed if ds.seed is not None \
-            else derive_seed(config.seed, _SEED_BLOBS_TRAIN)
-        test_seed = ds.seed + 1 if ds.seed is not None \
-            else derive_seed(config.seed, _SEED_BLOBS_TEST)
-        train = make_blobs(ds.n, ds.p, ds.num_classes, train_seed)
-        test = make_blobs(ds.test_n, ds.p, ds.num_classes, test_seed)
-        return train, test
-    if isinstance(ds, IdxSpec):
-        train = load_idx(ds.train_images, ds.train_labels)
-        test = load_idx(ds.test_images, ds.test_labels)
-        classes = max(train.num_classes, test.num_classes)
-        train.num_classes = classes
-        test.num_classes = classes
-        return train, test
-    raise TypeError(f"unknown dataset spec {ds!r}")
-
-
 def run(config: RunConfig) -> RunReport:
     """Execute one training run and report metrics and costs.
 
@@ -300,10 +383,7 @@ def run(config: RunConfig) -> RunReport:
     target or after max_epochs.
     """
     k = config.workers
-    if k < 1:
-        raise ValueError("need at least one worker")
-
-    train, test = _load_datasets(config)
+    train, test = config.dataset.load(config.seed)
     d = param_count(config.model_kind, train.p, train.num_classes, config.hidden)
 
     shards = partition(train, k, config.partition_scheme,

@@ -16,13 +16,14 @@ optimization) share the same `SyncStrategy` interface.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
+from .schema import ensure, read, write
 from .vecmath import ParamVector, average, dot, norm_sq, ordered_sum
 
 Drift = ParamVector
@@ -102,12 +103,9 @@ def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
 def _stack(states: list[LocalState]) -> LocalState:
     """K single-worker states as one stacked state; as in a (K, d) build,
     its sketch is the mean of the K sketches (added in ascending order)."""
-    if len(states) == 0:
-        raise ValueError("average of an empty state list")
-    kinds = {s.is_sketch for s in states}
-    if len(kinds) != 1:
+    if len({s.is_sketch for s in states}) > 1:
         raise ValueError("cannot average sketch and scalar states together")
-    if states[0].is_sketch:
+    if states and states[0].is_sketch:
         rows = ordered_sum(np.stack([s.summary.rows for s in states]))
         summary = sk.AmsSketch(rows=(1.0 / len(states)) * rows)
     else:
@@ -128,6 +126,8 @@ def average_states(states) -> AveragedState:
     if not isinstance(states, LocalState):
         states = _stack(states)
     k = states.workers
+    if k == 0:
+        raise ValueError("average of no states")
     mean_norm = sum(states.drift_norm_sq.tolist()) / k
     mean_summary: Union[sk.AmsSketch, float] = (
         states.summary if states.is_sketch
@@ -172,11 +172,6 @@ StepHook = Callable[[int, np.ndarray, Reduce],
                     tuple[Optional[float], Optional[ParamVector]]]
 
 
-def _check(ok: bool, message: str) -> None:
-    if not ok:
-        raise ValueError(message)
-
-
 def _every_step(t: int, params: np.ndarray, reduce: Reduce):
     return None, reduce(params, "model-sync")
 
@@ -201,21 +196,22 @@ def _variance_monitor(theta, w_sync, make_state, h_of) -> StepHook:
 
 class SyncStrategy:
     """A synchronization policy: a frozen config that validates itself,
-    maps to and from its YAML `strategy` node (`kind` is the `label`), and
+    maps to and from its YAML `strategy` node (`kind` is the `label`) and
     builds a fresh step hook, holding the run's monitor state, per run.
     A zero threshold degenerates to the every-step hook: monitoring a
     foregone decision would only add cost."""
 
     label: ClassVar[str]
+    node_keys: ClassVar[dict] = {}  # field -> "child.key" (schema.read)
 
     @classmethod
     def from_node(cls, node: dict, theta: Callable[[], float]):
-        """Build from a strategy node; theta() resolves its threshold."""
-        return cls()
+        """Build from a strategy node; theta() resolves a `theta` field."""
+        given = {"theta": theta()} if "theta" in cls.__dataclass_fields__ else {}
+        return read(cls, node, cls.node_keys, **given)
 
     def to_node(self) -> dict:
-        """Flat strategies use their field names as node keys."""
-        return {"kind": self.label, **asdict(self)}
+        return {"kind": self.label, **write(self, self.node_keys)}
 
     def start(self, d: int, w0: ParamVector, steps_per_epoch: int) -> StepHook:
         raise NotImplementedError
@@ -228,27 +224,17 @@ class SketchFda(SyncStrategy):
     cols: int = 250
     seed: int = 0
     label: ClassVar[str] = "sketch-fda"
+    node_keys: ClassVar[dict] = {"rows": "sketch.rows", "cols": "sketch.cols",
+                                 "seed": "sketch.seed"}
 
     def __post_init__(self) -> None:
-        _check(self.theta >= 0, "theta must be >= 0")
-        _check(self.rows >= 1 and self.cols >= 1,
+        ensure(self.theta >= 0, "theta must be >= 0")
+        ensure(self.rows >= 1 and self.cols >= 1,
                "sketch dimensions must be positive")
 
     @property
     def eps(self) -> float:
         return sk.relative_error(self.cols)
-
-    @classmethod
-    def from_node(cls, node, theta):
-        shape = node.get("sketch", {})
-        return cls(theta=theta(), rows=int(shape.get("rows", cls.rows)),
-                   cols=int(shape.get("cols", cls.cols)),
-                   seed=int(shape.get("seed", cls.seed)))
-
-    def to_node(self):
-        return {"kind": self.label, "theta": self.theta,
-                "sketch": {"rows": self.rows, "cols": self.cols,
-                           "seed": self.seed}}
 
     def start(self, d, w0, steps_per_epoch):
         if self.theta == 0:
@@ -266,11 +252,7 @@ class LinearFda(SyncStrategy):
     label: ClassVar[str] = "linear-fda"
 
     def __post_init__(self) -> None:
-        _check(self.theta >= 0, "theta must be >= 0")
-
-    @classmethod
-    def from_node(cls, node, theta):
-        return cls(theta=theta())
+        ensure(self.theta >= 0, "theta must be >= 0")
 
     def start(self, d, w0, steps_per_epoch):
         if self.theta == 0:
@@ -293,12 +275,7 @@ class LocalSgd(SyncStrategy):
     label: ClassVar[str] = "local-sgd"
 
     def __post_init__(self) -> None:
-        _check(self.tau >= 1, "tau must be >= 1")
-
-    @classmethod
-    def from_node(cls, node, theta):
-        _check("tau" in node, "local-sgd strategy needs tau")
-        return cls(tau=int(node["tau"]))
+        ensure(self.tau >= 1, "tau must be >= 1")
 
     def start(self, d, w0, steps_per_epoch):
         def hook(t, params, reduce):
@@ -319,30 +296,14 @@ class FedOpt(SyncStrategy):
     server_eps: float = 1e-7
     local_epochs: int = 1
     label: ClassVar[str] = "fedopt"
+    node_keys: ClassVar[dict] = {
+        f"server_{key}": f"server.{key}"
+        for key in ("kind", "lr", "momentum", "beta1", "beta2", "eps")}
 
     def __post_init__(self) -> None:
-        _check(self.local_epochs >= 1, "local_epochs must be >= 1")
-        _check(self.server_kind in ("sgd-momentum", "adam"),
+        ensure(self.local_epochs >= 1, "local_epochs must be >= 1")
+        ensure(self.server_kind in ("sgd-momentum", "adam"),
                f"unknown server optimizer {self.server_kind!r}")
-
-    @classmethod
-    def from_node(cls, node, theta):
-        server = node.get("server", {})
-        return cls(
-            server_kind=str(server.get("kind", cls.server_kind)),
-            server_lr=float(server.get("lr", cls.server_lr)),
-            server_momentum=float(server.get("momentum", cls.server_momentum)),
-            server_beta1=float(server.get("beta1", cls.server_beta1)),
-            server_beta2=float(server.get("beta2", cls.server_beta2)),
-            server_eps=float(server.get("eps", cls.server_eps)),
-            local_epochs=int(node.get("local_epochs", cls.local_epochs)))
-
-    def to_node(self):
-        server = {"kind": self.server_kind, "lr": self.server_lr,
-                  "momentum": self.server_momentum, "beta1": self.server_beta1,
-                  "beta2": self.server_beta2, "eps": self.server_eps}
-        return {"kind": self.label, "local_epochs": self.local_epochs,
-                "server": server}
 
     @property
     def server_optimizer(self) -> OptimizerSpec:

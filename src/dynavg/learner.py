@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .schema import read, write
 from .vecmath import ParamVector
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -248,6 +249,14 @@ class OptimizerSpec:
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+
+    @classmethod
+    def from_node(cls, node: dict) -> OptimizerSpec:
+        """Build from an `optimizer` node; absent keys keep the defaults."""
+        return read(cls, node)
+
+    def to_node(self) -> dict:
+        return write(self)
 
     def build(self, shape) -> OptimizerState:
         """Fresh state for parameters of this shape: a length d, or

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from dynavg import cli
-from dynavg.cluster_sim import BlobsSpec, NonIidLabel
+from dynavg.cluster_sim import BlobsSpec, NonIidLabel, run
 from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
@@ -159,8 +159,13 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"optimizer": {"kind": "rmsprop", "lr": 0.05}},
     {"partition": {"scheme": "noniid-fraction", "percent": 150}},
     {"partition": {"scheme": "noniid-label", "label": 0, "holders": 0}},
+    {"audit_variance": "false"},
+    {"optimizer": {"kind": "sgd-momentum", "lr": 0.05, "nesterov": "false"}},
+    {"workers": 2.7},
+    {"model": "logistic"},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
-        "holders-0"])
+        "holders-0", "audit-quoted-false", "nesterov-quoted-false",
+        "workers-2.7", "model-not-a-mapping"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):
@@ -180,6 +185,26 @@ def test_partition_outside_workers_or_classes_rejected_at_parse(tmp_path,
     with pytest.raises(cli.ConfigError):
         cli.parse_config(mapping)
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+
+
+def drop_nulls(node: dict) -> dict:
+    return {key: drop_nulls(value) if isinstance(value, dict) else value
+            for key, value in node.items() if value is not None}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"partition": None},
+    {"optimizer": None},
+    {"model": None},
+    {"output": None},
+    {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": None}},
+    {"strategy": {"kind": "fedopt", "server": None}},
+], ids=["partition", "optimizer", "model", "output", "strategy-sketch",
+        "strategy-server"])
+def test_empty_optional_node_reads_as_absent(tmp_path, overrides):
+    mapping = base_mapping(**overrides)
+    config = cli.load_config(write_config(tmp_path, mapping))
+    assert config == cli.parse_config(drop_nulls(mapping))
 
 
 def test_load_config_bad_yaml(tmp_path):
@@ -212,6 +237,33 @@ def test_idx_theta_profile_peeks_headers(tmp_path):
     config = cli.parse_config(mapping)
     d = 5 * 6 * 4 + 4  # p from the image header, classes from the labels
     assert config.strategy.theta == pytest.approx(4.91e-5 * d)
+
+
+def test_idx_theta_profile_matches_the_trained_model(tmp_path):
+    # The test split holds a class the train split lacks: theta must be
+    # resolved for the model the run trains, which counts both splits.
+    from test_learner import write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(33)
+    files = {}
+    for split, n, classes in (("train", 60, 3), ("test", 20, 4)):
+        images = rng.integers(0, 256, size=(n, 2, 3), dtype=np.uint8)
+        labels = np.arange(n, dtype=np.uint8) % classes
+        ip, lp = str(tmp_path / f"{split}-i.idx"), str(tmp_path / f"{split}-l.idx")
+        write_idx_images(ip, images)
+        write_idx_labels(lp, labels)
+        files[split] = (ip, lp)
+    mapping = base_mapping(
+        dataset={"kind": "idx",
+                 "train_images": files["train"][0],
+                 "train_labels": files["train"][1],
+                 "test_images": files["test"][0],
+                 "test_labels": files["test"][1]},
+        strategy={"kind": "linear-fda", "theta_profile": "fl"})
+    config = cli.parse_config(mapping)
+    report = run(config)
+    assert report.model_dim == 6 * 4 + 4
+    assert config.strategy.theta == pytest.approx(4.91e-5 * report.model_dim)
 
 
 def test_idx_theta_profile_rejects_image_file_as_labels(tmp_path):
@@ -329,6 +381,18 @@ def test_sweep_marks_failures_and_continues(tmp_path):
     assert statuses == ["failed", "ok", "ok"]
     failed = [r for r in rows if r["status"] == "failed"][0]
     assert failed["config"] == "c_bad.yaml"
+
+
+def test_sweep_runs_configs_with_empty_nodes(tmp_path):
+    write_config(tmp_path, base_mapping(), name="a_good.yaml")
+    write_config(tmp_path, base_mapping(model=None, output=None),
+                 name="b_empty_nodes.yaml")
+    write_config(tmp_path, base_mapping(model="logistic"),
+                 name="c_model_not_a_mapping.yaml")
+    rows = cli.sweep(str(tmp_path))
+    status = {r["config"]: r["status"] for r in rows}
+    assert status == {"a_good.yaml": "ok", "b_empty_nodes.yaml": "ok",
+                      "c_model_not_a_mapping.yaml": "failed"}
 
 
 def test_sweep_grid_sorted_and_synchronous_dominates(tmp_path):

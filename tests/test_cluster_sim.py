@@ -283,7 +283,7 @@ def test_single_node_equivalence_oracle():
     report = cs.run(cfg)
     assert report.final_steps == 200
 
-    train, _ = cs._load_datasets(cfg)
+    train, _ = cfg.dataset.load(cfg.seed)
     shards = cs.partition(train, k, cs.Iid(),
                           cs.derive_seed(seed, cs._SEED_PARTITION))
     model = learner.init_model("logistic", train.p, train.num_classes,
@@ -419,6 +419,23 @@ def test_divergence_aborts():
     cfg = dataclasses.replace(cfg, model_kind="mlp", hidden=8)
     with pytest.raises(cs.RunDivergedError):
         cs.run(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"max_epochs": 0},
+    {"workers": 0},
+    {"batch_size": 0},
+    {"model_kind": "cnn"},
+    {"model_kind": "mlp", "hidden": 0},
+    {"init_scheme": "zeros"},
+    {"partition_scheme": cs.NonIidLabel(label=0, holders=3), "workers": 2},
+    {"partition_scheme": cs.NonIidLabel(label=3)},
+], ids=["max-epochs-0", "workers-0", "batch-0", "model-cnn", "mlp-hidden-0",
+        "init-zeros", "holders-over-workers", "label-over-classes"])
+def test_run_config_validates_itself(overrides):
+    # blobs_config has 3 workers and 3 classes.
+    with pytest.raises(ValueError):
+        dataclasses.replace(blobs_config(Synchronous()), **overrides)
 
 
 def test_run_rejects_invalid_strategy():

@@ -119,6 +119,9 @@ def test_state_averaging_mixed_kinds_rejected():
         fda_core.average_states([a, b])
     with pytest.raises(ValueError):
         fda_core.average_states([])
+    with pytest.raises(ValueError):  # a stacked state of zero workers
+        fda_core.average_states(
+            fda_core.make_local_state_linear(np.zeros((0, 4)), None))
 
 
 def test_state_averaging_values():
