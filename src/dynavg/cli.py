@@ -35,7 +35,7 @@ from .cluster_sim import (
 )
 from .fda_core import STRATEGIES, Synchronous
 from .learner import param_count
-from .schema import child, read, write
+from .schema import child, read, to_float, write
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -93,7 +93,7 @@ def _theta(node: dict, config: RunConfig) -> float:
         return theta_preset(str(node["theta_profile"]), d)
     if "theta" not in node:
         raise ConfigError(f"missing {node['kind']} strategy field 'theta'")
-    return float(node["theta"])
+    return to_float(node["theta"])
 
 
 def parse_config(mapping: dict) -> RunConfig:
@@ -174,7 +174,7 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
     try:
         config = load_config(config_path)
         if audit_variance:
-            config.audit_variance = True
+            config = replace(config, audit_variance=True)
         report = run(config)
     except RunDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)

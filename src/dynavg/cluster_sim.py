@@ -291,9 +291,10 @@ DatasetSpec = Union[BlobsSpec, IdxSpec]
 DATASETS = {s.kind: s for s in (BlobsSpec, IdxSpec)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One run; validates itself when constructed."""
+    """One run; frozen, so it validates itself whenever it is built
+    (`dataclasses.replace` included)."""
 
     dataset: DatasetSpec
     strategy: SyncStrategy

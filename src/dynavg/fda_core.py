@@ -176,9 +176,11 @@ def _every_step(t: int, params: np.ndarray, reduce: Reduce):
     return None, reduce(params, "model-sync")
 
 
-def _variance_monitor(theta, w_sync, make_state, h_of) -> StepHook:
+def _variance_monitor(theta, w_sync, make_state, h_of,
+                      reads_xi: bool) -> StepHook:
     """Exchange local states every step; average the models on strict
-    H > theta (ties keep training locally)."""
+    H > theta (ties keep training locally).  xi is recomputed on a sync
+    only when `make_state` reads it."""
     xi: Xi = None
 
     def hook(t: int, params: np.ndarray, reduce: Reduce):
@@ -187,7 +189,8 @@ def _variance_monitor(theta, w_sync, make_state, h_of) -> StepHook:
         if not h > theta:
             return h, None
         mean = reduce(params, "model-sync")
-        xi = compute_xi(mean, w_sync)
+        if reads_xi:
+            xi = compute_xi(mean, w_sync)
         w_sync = mean
         return h, mean
 
@@ -243,7 +246,7 @@ class SketchFda(SyncStrategy):
         eps = self.eps
         return _variance_monitor(
             self.theta, w0, lambda u, xi: make_local_state_sketch(u, transform),
-            lambda avg: h_sketch(avg, eps))
+            lambda avg: h_sketch(avg, eps), reads_xi=False)
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ class LinearFda(SyncStrategy):
         if self.theta == 0:
             return _every_step
         return _variance_monitor(self.theta, w0, make_local_state_linear,
-                                 h_linear)
+                                 h_linear, reads_xi=True)
 
 
 @dataclass(frozen=True)

@@ -423,5 +423,6 @@ def make_blobs(n: int, p: int, num_classes: int, seed: int) -> Dataset:
         raise ValueError(f"invalid blob dims n={n}, p={p}, C={num_classes}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     labels = np.arange(n, dtype=np.int64) % num_classes
-    features = labels[:, None] + rng.standard_normal((n, p))
+    features = rng.standard_normal((n, p))
+    features += labels[:, None]  # in place: no second (n, p) temporary
     return Dataset(features=features, labels=labels, num_classes=num_classes)

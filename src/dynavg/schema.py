@@ -6,8 +6,9 @@ the child node `sketch`).  `read` coerces each present key by the field's annota
 (`int`, `float`, `bool`, `str`, or `Optional` of one of them, as written)
 and leaves an absent key to the field's class default, so no default is
 stated twice.  An absent or empty (null) child node reads as an empty one.
-Coercion is strict: an int field takes only an integral number and a bool
-field only a YAML boolean.  Invalid nodes raise ValueError.
+Coercion is strict: an int field takes only an integral number, a float
+field any number but not a boolean, and a bool field only a YAML boolean.
+Invalid nodes raise ValueError.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def _int(value) -> int:
     return int(value)
 
 
+def to_float(value) -> float:
+    ensure(not isinstance(value, bool), f"{value!r} is not a number")
+    return float(value)
+
+
 def _bool(value) -> bool:
     ensure(isinstance(value, bool), f"{value!r} is not a boolean")
     return value
@@ -46,7 +52,7 @@ def _optional(coerce):
     return lambda value: None if value is None else coerce(value)
 
 
-_COERCE = {"int": _int, "float": float, "bool": _bool, "str": str,
+_COERCE = {"int": _int, "float": to_float, "bool": _bool, "str": str,
            "Optional[int]": _optional(_int), "Optional[str]": _optional(str)}
 
 

@@ -38,24 +38,25 @@ def _poly_hash(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SketchTransform:
-    """Shared projection; fully determined by (d, l, m, seed).  `buckets`
-    and `signs` are read-only; `buckets` views `_bins`, kept writable
-    because `np.bincount` copies a read-only index on every call."""
+    """Shared projection; fully determined by (d, l, m, seed).
+
+    Row i keeps each coordinate's bucket and sign in one signed bin,
+    `bins[i, j] = h_i(j) + m * [s_i(j) < 0]`, in [0, 2m).  `bins` is
+    read-only; it views `_bins`, kept writable because `np.bincount`
+    copies a read-only index on every call."""
 
     d: int
     l: int
     m: int
     seed: int
-    buckets: np.ndarray  # (l, d) int64, values in [0, m)
-    signs: np.ndarray    # (l, d) float64, values in {-1, +1}
+    bins: np.ndarray  # (l, d) int64, values in [0, 2m)
     _bins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bins = np.require(self.buckets, np.int64, ["C", "W"])
+        bins = np.require(self.bins, np.int64, ["C", "W"])
         object.__setattr__(self, "_bins", bins)
-        object.__setattr__(self, "buckets", bins.view())
-        self.buckets.setflags(write=False)
-        self.signs.setflags(write=False)
+        object.__setattr__(self, "bins", bins.view())
+        self.bins.setflags(write=False)
 
 
 @dataclass
@@ -66,28 +67,33 @@ class AmsSketch:
 
 
 def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
-    """Draw per-row bucket and sign hashes from the seeded polynomial family."""
+    """Draw per-row bucket and sign hashes from the seeded polynomial family
+    and fold each pair into a signed bin."""
     if d < 1 or l < 1 or m < 1:
         raise ValueError(f"dimensions must be positive, got d={d}, l={l}, m={m}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     coeffs = rng.integers(0, MERSENNE_PRIME, size=(l, 2, _POLY_DEGREE + 1),
                           dtype=np.int64)
     idx = np.arange(d, dtype=np.int64)
-    buckets = np.empty((l, d), dtype=np.int64)
-    signs = np.empty((l, d), dtype=np.float64)
+    bins = np.empty((l, d), dtype=np.int64)
     for i in range(l):
-        buckets[i] = _poly_hash(idx, coeffs[i, 0]) % m
-        signs[i] = 2.0 * (_poly_hash(idx, coeffs[i, 1]) & 1) - 1.0
-    return SketchTransform(d=d, l=l, m=m, seed=seed, buckets=buckets, signs=signs)
+        # The sign is -1 where the low bit of the sign hash is 0.
+        bins[i] = _poly_hash(idx, coeffs[i, 0]) % m
+        bins[i] += m * (1 - (_poly_hash(idx, coeffs[i, 1]) & 1))
+    return SketchTransform(d=d, l=l, m=m, seed=seed, bins=bins)
 
 
 def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
-    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j."""
+    """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j.
+
+    Each row sums v into 2m signed bins; the last m (the negative signs)
+    are subtracted from the first m."""
     if v.shape != (t.d,):
         raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
     rows = np.empty((t.l, t.m), dtype=np.float64)
     for i in range(t.l):
-        rows[i] = np.bincount(t._bins[i], weights=t.signs[i] * v, minlength=t.m)
+        signed = np.bincount(t._bins[i], weights=v, minlength=2 * t.m)
+        np.subtract(signed[:t.m], signed[t.m:], out=rows[i])
     return AmsSketch(rows=rows)
 
 

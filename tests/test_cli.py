@@ -163,9 +163,13 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"optimizer": {"kind": "sgd-momentum", "lr": 0.05, "nesterov": "false"}},
     {"workers": 2.7},
     {"model": "logistic"},
+    {"strategy": {"kind": "linear-fda", "theta": True}},
+    {"optimizer": {"kind": "sgd", "lr": True}},
+    {"strategy": {"kind": "fedopt", "server": {"lr": True}}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
-        "workers-2.7", "model-not-a-mapping"])
+        "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
+        "server-lr-true"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):

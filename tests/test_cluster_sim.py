@@ -255,6 +255,25 @@ def test_sketch_fda_sketches_once_per_step_and_bills_every_worker(monkeypatch):
     assert report.ledger.bytes_sync == report.sync_count * 9 * 4 * d
 
 
+@pytest.mark.parametrize("strategy, reads_xi", [
+    (SketchFda(theta=0.05, rows=3, cols=10, seed=5), False),
+    (LinearFda(theta=0.05), True),
+], ids=["sketch-fda", "linear-fda"])
+def test_xi_computed_only_where_the_state_reads_it(monkeypatch, strategy,
+                                                   reads_xi):
+    calls = []
+    compute_xi = fda_core.compute_xi
+
+    def counting_compute_xi(now, prev):
+        calls.append(1)
+        return compute_xi(now, prev)
+
+    monkeypatch.setattr(fda_core, "compute_xi", counting_compute_xi)
+    report = cs.run(blobs_config(strategy, workers=3, max_epochs=2))
+    assert report.sync_count > 0
+    assert len(calls) == (report.sync_count if reads_xi else 0)
+
+
 def test_infinite_theta_never_syncs():
     cfg = blobs_config(LinearFda(theta=float("inf")), workers=3, max_epochs=2)
     report = cs.run(cfg)
@@ -436,6 +455,14 @@ def test_run_config_validates_itself(overrides):
     # blobs_config has 3 workers and 3 classes.
     with pytest.raises(ValueError):
         dataclasses.replace(blobs_config(Synchronous()), **overrides)
+
+
+def test_run_config_is_frozen():
+    # An assignment would skip __post_init__, so a config cannot change
+    # once it has validated itself.
+    cfg = blobs_config(Synchronous())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_epochs = 0
 
 
 def test_run_rejects_invalid_strategy():

@@ -3,6 +3,7 @@ import gzip
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -662,6 +663,23 @@ def test_make_blobs_unit_spaced_means():
         np.testing.assert_allclose(cluster.mean(axis=0), c, atol=0.15)
     counts = np.bincount(data.labels)
     assert counts.max() - counts.min() <= 1
+
+
+def test_make_blobs_builds_features_in_place():
+    # The offsets are added into the drawn noise: the traced peak stays
+    # near one features array, and the bits equal noise-plus-label.
+    tracemalloc.start()
+    try:
+        data = learner.make_blobs(6000, 784, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.features.nbytes
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    labels = np.arange(6000, dtype=np.int64) % 10
+    expected = labels[:, None] + rng.standard_normal((6000, 784))
+    np.testing.assert_array_equal(data.labels, labels)
+    assert data.features.tobytes() == expected.tobytes()
 
 
 def test_make_blobs_invalid():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,23 +9,91 @@ from dynavg import sketch
 def hand_transform(d, m, buckets, signs):
     """Single-row transform with pinned hashes, for hand-evaluated cases."""
     b = np.array([buckets], dtype=np.int64)
-    s = np.array([signs], dtype=np.float64)
-    return sketch.SketchTransform(d=d, l=1, m=m, seed=-1, buckets=b, signs=s)
+    negative = np.array([signs], dtype=np.float64) < 0
+    return sketch.SketchTransform(d=d, l=1, m=m, seed=-1, bins=b + m * negative)
+
+
+def reference_hashes(d, l, m, seed):
+    """Bucket and sign tables drawn from the polynomial family, one
+    (l, d) table each."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    coeffs = rng.integers(0, sketch.MERSENNE_PRIME, size=(l, 2, 4),
+                          dtype=np.int64)
+    idx = np.arange(d, dtype=np.int64)
+    buckets = np.stack([sketch._poly_hash(idx, c[0]) % m for c in coeffs])
+    signs = np.stack([2.0 * (sketch._poly_hash(idx, c[1]) & 1) - 1.0
+                      for c in coeffs])
+    return buckets, signs
 
 
 def test_make_transform_deterministic():
     a = sketch.make_transform(10, 5, 250, seed=42)
     b = sketch.make_transform(10, 5, 250, seed=42)
-    np.testing.assert_array_equal(a.buckets, b.buckets)
-    np.testing.assert_array_equal(a.signs, b.signs)
+    np.testing.assert_array_equal(a.bins, b.bins)
     v = np.random.default_rng(0).standard_normal(10)
     np.testing.assert_array_equal(sketch.apply(a, v).rows, sketch.apply(b, v).rows)
+
+
+def test_signed_bins_fold_the_hash_family():
+    # bins = bucket + m * [sign < 0], so buckets, signs and every sync
+    # decision stay those of the polynomial family.
+    for d, l, m, seed in [(10, 5, 250, 42), (300, 3, 7, 1), (64, 1, 1, 9)]:
+        t = sketch.make_transform(d, l, m, seed)
+        buckets, signs = reference_hashes(d, l, m, seed)
+        np.testing.assert_array_equal(t.bins, buckets + m * (signs < 0))
+        assert t.bins.min() >= 0 and t.bins.max() < 2 * m
 
 
 def test_different_seeds_differ():
     a = sketch.make_transform(100, 5, 50, seed=1)
     b = sketch.make_transform(100, 5, 50, seed=2)
-    assert not np.array_equal(a.buckets, b.buckets)
+    assert not np.array_equal(a.bins % 50, b.bins % 50)  # buckets
+    assert not np.array_equal(a.bins < 50, b.bins < 50)  # signs
+
+
+@pytest.mark.parametrize("d, l, m, seed", [
+    (1, 1, 1, 0), (63, 3, 1, 2), (500, 5, 16, 7), (2000, 4, 250, 13)])
+def test_apply_matches_sign_product_reference(d, l, m, seed):
+    # Per row, the signed bins equal bincount(h, weights=s * v), within
+    # 1e-12 of each bucket's absolute mass (the two sum in another order).
+    t = sketch.make_transform(d, l, m, seed)
+    h, s = reference_hashes(d, l, m, seed)
+    rng = np.random.default_rng(seed)
+    for v in (rng.standard_normal(d), rng.standard_normal(d) * 1e6,
+              rng.exponential(size=d)):
+        rows = sketch.apply(t, v).rows
+        assert rows.shape == (l, m)
+        for i in range(l):
+            reference = np.bincount(h[i], weights=s[i] * v, minlength=m)
+            scale = np.bincount(h[i], weights=np.abs(v), minlength=m)
+            assert np.all(np.abs(rows[i] - reference) <= 1e-12 * scale)
+
+
+def test_transform_holds_one_signed_bin_table():
+    d, l, m = 100_000, 5, 250
+    tracemalloc.start()
+    try:
+        t = sketch.make_transform(d, l, m, seed=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
+    assert all(np.shares_memory(a, t._bins) for a in arrays)
+    assert t._bins.nbytes == 8 * l * d
+    assert held < 8 * l * d + 64 * 1024
+
+
+def test_apply_makes_no_d_sized_temporary():
+    d = 100_000
+    t = sketch.make_transform(d, 5, 250, seed=3)
+    v = np.random.default_rng(3).standard_normal(d)
+    tracemalloc.start()
+    try:
+        sketch.apply(t, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d
 
 
 def test_zero_dimensions_rejected():
@@ -104,13 +174,11 @@ def test_m2_nan_row_gives_nan(l):
 def test_transform_tables_read_only():
     t = sketch.make_transform(40, 3, 8, seed=6)
     with pytest.raises(ValueError):
-        t.buckets[0, 0] = 1
-    with pytest.raises(ValueError):
-        t.signs[0, 0] = 1.0
+        t.bins[0, 0] = 1
     # The index `apply` reads is the same memory, kept writable so that
     # np.bincount need not copy it on every call.
-    assert np.shares_memory(t.buckets, t._bins) and t._bins.flags.writeable
-    assert t._bins.dtype == np.int64 and np.array_equal(t._bins, t.buckets)
+    assert np.shares_memory(t.bins, t._bins) and t._bins.flags.writeable
+    assert t._bins.dtype == np.int64 and np.array_equal(t._bins, t.bins)
 
 
 def test_m2_zero_sketch():
