@@ -35,7 +35,7 @@ from .cluster_sim import (
 )
 from .fda_core import STRATEGIES, Synchronous
 from .learner import param_count
-from .schema import child, read, to_float, write
+from .schema import child, read, to_float, to_str, write
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -90,7 +90,7 @@ def _theta(node: dict, config: RunConfig) -> float:
     if "theta_profile" in node:
         d = param_count(config.model_kind, *config.dataset.shape(),
                         config.hidden)
-        return theta_preset(str(node["theta_profile"]), d)
+        return theta_preset(to_str(node["theta_profile"]), d)
     if "theta" not in node:
         raise ConfigError(f"missing {node['kind']} strategy field 'theta'")
     return to_float(node["theta"])

@@ -68,14 +68,14 @@ def derive_seed(run_seed: int, *tags: int) -> int:
 # --- data partitioning ------------------------------------------------------
 
 class PartitionScheme:
-    """A frozen partition config that validates itself and maps to and
-    from its YAML `partition` node, which `scheme` names."""
+    """A frozen partition config: it validates itself, maps to and from its
+    YAML `partition` node (`scheme` names it) and splits the data."""
 
     scheme: ClassVar[str]
 
     @classmethod
     def from_node(cls, node: dict):
-        return read(cls, node)
+        return read(cls, node, extra=("scheme",))
 
     def to_node(self) -> dict:
         return {"scheme": self.scheme, **write(self)}
@@ -84,14 +84,27 @@ class PartitionScheme:
         """Reject a scheme that the run's workers or its dataset's class
         count (None when unknown before loading) cannot meet."""
 
+    def split(self, labels, k: int, rng) -> list[np.ndarray]:
+        """K index arrays into `labels` (1 <= K <= n), drawn from `rng`."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Iid(PartitionScheme):
+    """Deals a seeded shuffle round-robin."""
+
     scheme: ClassVar[str] = "iid"
+
+    def split(self, labels, k, rng):
+        perm = rng.permutation(len(labels))
+        return [perm[i::k] for i in range(k)]
 
 
 @dataclass(frozen=True)
 class NonIidFraction(PartitionScheme):
+    """Sorts a random `percent`% subset by label and hands each worker one
+    contiguous run of it, then tops shards up from the shuffled rest."""
+
     percent: float
     scheme: ClassVar[str] = "noniid-fraction"
 
@@ -99,9 +112,21 @@ class NonIidFraction(PartitionScheme):
         ensure(0.0 <= self.percent <= 100.0,
                f"fraction {self.percent} not in [0, 100]")
 
+    def split(self, labels, k, rng):
+        n = len(labels)
+        n_sorted = round(n * self.percent / 100.0)
+        perm = rng.permutation(n)
+        chosen, rest = perm[:n_sorted], perm[n_sorted:]
+        by_label = chosen[np.argsort(labels[chosen], kind="stable")]
+        runs = np.split(by_label, np.cumsum(_target_sizes(n_sorted, k))[:-1])
+        return _top_up(runs, rest, _target_sizes(n, k))
+
 
 @dataclass(frozen=True)
 class NonIidLabel(PartitionScheme):
+    """Deals every sample of `label` round-robin to the first `holders`
+    workers, then tops shards up from the other samples, shuffled."""
+
     label: int
     holders: int = 1
     scheme: ClassVar[str] = "noniid-label"
@@ -115,6 +140,20 @@ class NonIidLabel(PartitionScheme):
         ensure(classes is None or 0 <= self.label < classes,
                f"partition label {self.label} not in [0, {classes})")
 
+    def split(self, labels, k, rng):
+        held = labels == self.label
+        ensure(held.any(), f"label {self.label} not present in dataset")
+        self.check(k, None)
+        labelled = np.flatnonzero(held)
+        shards = [labelled[i::self.holders] for i in range(self.holders)]
+        targets = _target_sizes(len(labels), k)
+        ensure(all(len(s) <= t for s, t in zip(shards, targets)),
+               f"{self.holders} balanced holder shard(s) cannot absorb the "
+               f"{len(labelled)} samples of label {self.label}")
+        rest = rng.permutation(np.flatnonzero(~held))
+        return _top_up(shards + [labelled[:0]] * (k - self.holders), rest,
+                       targets)
+
 
 PARTITIONS = {s.scheme: s for s in (Iid, NonIidFraction, NonIidLabel)}
 
@@ -124,61 +163,20 @@ def _target_sizes(n: int, k: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(k)]
 
 
+def _top_up(shards: list, rest: np.ndarray, targets: list) -> list:
+    """Fill each shard up to its target size from `rest`, in order."""
+    ends = np.cumsum([t - len(s) for s, t in zip(shards, targets)])
+    return [np.concatenate([s, r])
+            for s, r in zip(shards, np.split(rest, ends[:-1]))]
+
+
 def partition(data: Dataset, k: int, scheme: PartitionScheme,
               seed: int) -> list[np.ndarray]:
     """Split the dataset into K index arrays of near-equal sizes (they
-    differ by <= 1), disjoint and covering it.
-
-    IID deals a seeded shuffle round-robin.  The fraction scheme sorts a
-    random X% subset by label and hands each worker one contiguous run of
-    it, topping shards up from the shuffled remainder.  The label scheme
-    routes every sample of one label to the first `holders` workers.
-    """
-    n = data.n
-    if k < 1:
-        raise ValueError("need at least one worker")
-    if k > n:
-        raise ValueError(f"more workers ({k}) than samples ({n})")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if isinstance(scheme, Iid):
-        perm = rng.permutation(n)
-        return [perm[i::k] for i in range(k)]
-
-    targets = _target_sizes(n, k)
-    if isinstance(scheme, NonIidFraction):
-        n_sorted = round(n * scheme.percent / 100.0)
-        perm = rng.permutation(n)
-        chosen, rest = perm[:n_sorted], perm[n_sorted:]
-        by_label = chosen[np.argsort(data.labels[chosen], kind="stable")]
-        shards = []
-        pos = 0
-        for size in _target_sizes(n_sorted, k) if n_sorted else [0] * k:
-            shards.append(list(by_label[pos:pos + size]))
-            pos += size
-    elif isinstance(scheme, NonIidLabel):
-        if scheme.label not in data.labels:
-            raise ValueError(f"label {scheme.label} not present in dataset")
-        if scheme.holders > k:
-            raise ValueError(f"holder count {scheme.holders} exceeds {k} workers")
-        labelled = np.flatnonzero(data.labels == scheme.label)
-        shards = [list(labelled[i::scheme.holders]) for i in range(scheme.holders)]
-        shards += [[] for _ in range(k - scheme.holders)]
-        for i in range(scheme.holders):
-            if len(shards[i]) > targets[i]:
-                raise ValueError(
-                    f"label {scheme.label} has {len(labelled)} samples; "
-                    f"{scheme.holders} holder shard(s) cannot absorb them "
-                    f"while keeping shards balanced")
-        rest = rng.permutation(np.flatnonzero(data.labels != scheme.label))
-    else:
-        raise TypeError(f"unknown partition scheme {scheme!r}")
-    # Top every shard up to its target size from the remaining samples.
-    pos = 0
-    for i in range(k):
-        need = targets[i] - len(shards[i])
-        shards[i].extend(rest[pos:pos + need])
-        pos += need
-    return [np.array(s, dtype=np.int64) for s in shards]
+    differ by <= 1), disjoint and covering it, by the scheme's rule."""
+    ensure(1 <= k <= data.n, f"need 1 to {data.n} workers, not {k}")
+    return scheme.split(data.labels, k,
+                        np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 # --- communication cost -----------------------------------------------------
@@ -229,7 +227,7 @@ class BlobsSpec:
 
     @classmethod
     def from_node(cls, node: dict) -> BlobsSpec:
-        return read(cls, node, cls.node_keys)
+        return read(cls, node, cls.node_keys, ("kind",))
 
     def to_node(self) -> dict:
         return {"kind": self.kind, **write(self, self.node_keys)}
@@ -263,7 +261,7 @@ class IdxSpec:
 
     @classmethod
     def from_node(cls, node: dict) -> IdxSpec:
-        spec = read(cls, node)
+        spec = read(cls, node, extra=("kind",))
         for path in astuple(spec):
             ensure(os.path.exists(path), f"dataset file not found: {path}")
         return spec

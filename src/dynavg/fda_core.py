@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
-from .schema import ensure, read, write
+from .schema import child, ensure, read, write
 from .vecmath import ParamVector, average, dot, norm_sq, ordered_sum
 
 Drift = ParamVector
@@ -208,10 +208,12 @@ class SyncStrategy:
     node_keys: ClassVar[dict] = {}  # field -> "child.key" (schema.read)
 
     @classmethod
-    def from_node(cls, node: dict, theta: Callable[[], float]):
+    def from_node(cls, node: dict, theta: Callable[[], float], **given):
         """Build from a strategy node; theta() resolves a `theta` field."""
-        given = {"theta": theta()} if "theta" in cls.__dataclass_fields__ else {}
-        return read(cls, node, cls.node_keys, **given)
+        extra = ("kind",)
+        if "theta" in cls.__dataclass_fields__:
+            given["theta"], extra = theta(), ("kind", "theta_profile")
+        return read(cls, node, cls.node_keys, extra, **given)
 
     def to_node(self) -> dict:
         return {"kind": self.label, **write(self, self.node_keys)}
@@ -289,35 +291,31 @@ class LocalSgd(SyncStrategy):
 @dataclass(frozen=True)
 class FedOpt(SyncStrategy):
     """Periodic rounds: E local epochs, then a server-side optimizer step
-    on the pseudo-gradient (the negated mean client delta)."""
+    on the pseudo-gradient (the negated mean client delta).  A `server`
+    node is read over the `server` default (eps 1e-7, not 1e-8); from
+    Python, `replace(FedOpt.server, kind="adam", lr=...)` keeps it too."""
 
-    server_kind: str = "sgd-momentum"   # sgd-momentum | adam
-    server_lr: float = 0.316
-    server_momentum: float = 0.9
-    server_beta1: float = 0.9
-    server_beta2: float = 0.999
-    server_eps: float = 1e-7
+    server: OptimizerSpec = OptimizerSpec(kind="sgd-momentum", lr=0.316,
+                                          eps=1e-7)
     local_epochs: int = 1
     label: ClassVar[str] = "fedopt"
-    node_keys: ClassVar[dict] = {
-        f"server_{key}": f"server.{key}"
-        for key in ("kind", "lr", "momentum", "beta1", "beta2", "eps")}
 
     def __post_init__(self) -> None:
         ensure(self.local_epochs >= 1, "local_epochs must be >= 1")
-        ensure(self.server_kind in ("sgd-momentum", "adam"),
-               f"unknown server optimizer {self.server_kind!r}")
+        ensure(self.server.kind in ("sgd-momentum", "adam"),
+               f"unknown server optimizer {self.server.kind!r}")
+        ensure(not self.server.nesterov and self.server.weight_decay == 0,
+               "the server optimizer takes no nesterov or weight_decay")
 
-    @property
-    def server_optimizer(self) -> OptimizerSpec:
-        return OptimizerSpec(
-            kind=self.server_kind, lr=self.server_lr,
-            momentum=self.server_momentum, beta1=self.server_beta1,
-            beta2=self.server_beta2, eps=self.server_eps)
+    @classmethod
+    def from_node(cls, node, theta):
+        server = {**cls.server.to_node(), **child(node, "server")}
+        return super().from_node(node, theta,
+                                 server=OptimizerSpec.from_node(server))
 
     def start(self, d, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch
-        server_opt = self.server_optimizer.build(d)
+        state = self.server.build(d)
         w_global = w0
 
         def hook(t, params, reduce):
@@ -325,7 +323,7 @@ class FedOpt(SyncStrategy):
             if t % period:
                 return None, None
             delta = reduce(params - w_global, "model-sync")
-            w_global = apply_gradient(server_opt, w_global.copy(), -delta)
+            w_global = apply_gradient(state, w_global.copy(), -delta)
             return None, w_global
 
         return hook

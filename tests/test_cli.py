@@ -132,7 +132,9 @@ def test_config_round_trip():
             {"kind": "sketch-fda", "theta": 0.5,
              "sketch": {"rows": 2, "cols": 9, "seed": 4}},
             {"kind": "local-sgd", "tau": 3},
-            {"kind": "fedopt", "local_epochs": 2}):
+            {"kind": "fedopt", "local_epochs": 2},
+            {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.02,
+                                          "beta1": 0.8}}):
         config = cli.parse_config(base_mapping(strategy=strategy))
         again = cli.parse_config(cli.config_to_mapping(config))
         assert again == config
@@ -144,8 +146,10 @@ def test_config_round_trip():
     {"kind": "fedopt", "server": {"kind": "yogi"}},
     {"kind": "sketch-fda", "theta": 0.5, "sketch": {"rows": 0}},
     {"kind": "linear-fda", "theta": -0.1},
+    {"kind": "fedopt", "server": {"nesterov": True}},
+    {"kind": "fedopt", "server": {"weight_decay": 0.1}},
 ], ids=["tau-0", "local-epochs-0", "server-yogi", "sketch-rows-0",
-        "negative-theta"])
+        "negative-theta", "server-nesterov", "server-weight-decay"])
 def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     mapping = base_mapping(strategy=strategy)
     with pytest.raises(cli.ConfigError):
@@ -166,10 +170,24 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"strategy": {"kind": "linear-fda", "theta": True}},
     {"optimizer": {"kind": "sgd", "lr": True}},
     {"strategy": {"kind": "fedopt", "server": {"lr": True}}},
+    {"output": {"metrics_csv": True}},
+    {"strategy": {"kind": "linear-fda", "theta_profile": 1}},
+    {"optimizer": {"kind": "sgd", "learning_rate": 0.5}},
+    {"wokers": 9},
+    {"strategy": {"kind": "linear-fda", "theta": 0.5,
+                  "sketch": {"rows": 3}}},
+    {"partition": {"scheme": "noniid-label", "label": 0, "holder": 2}},
+    {"strategy": {"kind": "synchronous", "theta_profile": "balanced"}},
+    {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"row": 3}}},
+    {"model": {"kind": "logistic", "hiden": 4}},
+    {"strategy": {"kind": "fedopt", "server": {"learning_rate": 0.1}}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
-        "server-lr-true"])
+        "server-lr-true", "metrics-csv-true", "theta-profile-int",
+        "optimizer-learning-rate", "wokers", "linear-fda-sketch",
+        "label-holder", "synchronous-theta-profile", "sketch-row",
+        "model-hiden", "server-learning-rate"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):

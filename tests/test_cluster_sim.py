@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -122,6 +123,68 @@ def test_partition_label_capacity_error():
     data = learner.Dataset(features, labels, num_classes=2)
     with pytest.raises(ValueError, match="absorb"):
         cs.partition(data, 2, cs.NonIidLabel(label=0, holders=1), seed=0)
+
+
+def labelled_data(labels) -> learner.Dataset:
+    labels = np.asarray(labels, dtype=np.int64)
+    return learner.Dataset(np.zeros((len(labels), 1)), labels,
+                           num_classes=int(labels.max()) + 1)
+
+
+def shards_digest(shards) -> str:
+    h = hashlib.sha256(np.array([len(s) for s in shards]).tobytes())
+    for shard in shards:
+        h.update(np.asarray(shard, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Every scheme's shards at fixed (n, K, seed), over 3-class labels drawn
+# from default_rng(n); the digests lock the partitions byte for byte.
+PARTITION_DIGESTS = [
+    (600, 5, 101, cs.Iid(), "ad19e0b7e8eca51a"),
+    (103, 4, 7, cs.Iid(), "7e0df9fc3959aadd"),
+    (600, 5, 101, cs.NonIidFraction(percent=60.0), "900f36c56cef1abe"),
+    (103, 4, 7, cs.NonIidFraction(percent=100.0), "0048cb8d1dd22e9b"),
+    (57, 3, 2, cs.NonIidFraction(percent=0.0), "1d71c114d8b46c2d"),
+    (600, 5, 101, cs.NonIidLabel(label=0, holders=2), "21374b86e65b8e48"),
+    (103, 4, 7, cs.NonIidLabel(label=1, holders=2), "1e2b9ea2aeba0f83"),
+    (57, 3, 2, cs.NonIidLabel(label=2, holders=2), "8b342923cd378982"),
+    (30, 2, 5, cs.NonIidLabel(label=0, holders=1), "0c8a6c25e9b1f376"),
+]
+
+
+@pytest.mark.parametrize("n,k,seed,scheme,digest", PARTITION_DIGESTS)
+def test_partition_digests_pinned(n, k, seed, scheme, digest):
+    data = labelled_data(np.random.default_rng(n).integers(0, 3, n))
+    assert shards_digest(cs.partition(data, k, scheme, seed)) == digest
+
+
+def test_partition_small_n_sweep():
+    # Every scheme at every n <= 12 and K <= n, over label 0 held by m of
+    # the n samples: a split either raises ValueError or is balanced,
+    # disjoint and covering, with label 0 only on the first holders.
+    schemes = [cs.Iid()] + [cs.NonIidFraction(percent=p)
+                            for p in (0.0, 30.0, 60.0, 100.0)]
+    splits = 0
+    for n in range(2, 13):
+        for m in range(n + 1):
+            labels = np.random.default_rng(100 * n + m).permutation(
+                np.where(np.arange(n) < m, 0, 1 + np.arange(n) % 2))
+            data = labelled_data(labels)
+            for k in range(1, n + 1):
+                label_schemes = [cs.NonIidLabel(label=0, holders=h)
+                                 for h in range(1, k + 1)]
+                for scheme in schemes + label_schemes:
+                    try:
+                        shards = cs.partition(data, k, scheme, seed=n + k)
+                    except ValueError:
+                        continue
+                    splits += 1
+                    check_partition_invariants(shards, n)
+                    if isinstance(scheme, cs.NonIidLabel):
+                        for shard in shards[scheme.holders:]:
+                            assert (labels[shard] != 0).all()
+    assert splits > 1000
 
 
 # --- allreduce cost model ---------------------------------------------------
@@ -365,7 +428,8 @@ def test_run_accepts_any_strategy_with_a_step_hook():
 
 
 def test_fedopt_with_adam_server_runs():
-    strategy = FedOpt(server_kind="adam", server_lr=0.01, local_epochs=1)
+    strategy = FedOpt(server=dataclasses.replace(FedOpt.server, kind="adam",
+                                                 lr=0.01), local_epochs=1)
     report = cs.run(blobs_config(strategy, max_epochs=2))
     assert report.sync_count == 2
 

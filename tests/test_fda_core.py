@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -437,6 +439,10 @@ def test_start_builds_fresh_monitor_state():
     assert h_fresh == 1.0
 
 
+def fedopt_server(**changes):
+    return FedOpt(server=dataclasses.replace(FedOpt.server, **changes))
+
+
 def test_validate_strategy():
     invalid = [
         lambda: LinearFda(theta=-1.0),
@@ -446,7 +452,10 @@ def test_validate_strategy():
         lambda: SketchFda(theta=0.1, cols=0),
         lambda: LocalSgd(tau=0),
         lambda: FedOpt(local_epochs=0),
-        lambda: FedOpt(server_kind="yogi"),
+        lambda: fedopt_server(kind="yogi"),
+        lambda: fedopt_server(kind="sgd"),
+        lambda: fedopt_server(nesterov=True),
+        lambda: fedopt_server(weight_decay=0.1),
     ]
     for make in invalid:
         with pytest.raises(ValueError):
@@ -467,8 +476,9 @@ def server_round(strategy, w_global, params):
 
 
 def test_fedopt_zero_delta_keeps_global():
-    strategy = FedOpt(server_kind="sgd-momentum", server_lr=0.316,
-                      server_momentum=0.0)
+    strategy = fedopt_server(momentum=0.0)
+    assert strategy.server.kind == "sgd-momentum"
+    assert strategy.server.lr == 0.316
     w = np.array([1.0, -2.0, 0.5, 0.0])
     out = server_round(strategy, w, np.tile(w, (3, 1)))
     np.testing.assert_array_equal(out, w)
@@ -477,8 +487,8 @@ def test_fedopt_zero_delta_keeps_global():
 
 def test_fedopt_plain_averaging_reduces_to_fedavg():
     # A momentum-free SGD server at lr 1 steps to the mean client model.
-    strategy = FedOpt(server_kind="sgd-momentum", server_lr=1.0,
-                      server_momentum=0.0)
+    strategy = fedopt_server(lr=1.0, momentum=0.0)
+    assert strategy.server.kind == "sgd-momentum"
     w = np.array([1.0, 1.0, 1.0])
     delta = np.array([0.5, -0.5, 0.25])
     params = w + np.array([delta - 0.25, delta + 0.25])
@@ -505,5 +515,11 @@ def test_fedopt_momentum_matches_recurrence():
 
 
 def test_fedopt_adam_server_builds():
-    opt = FedOpt(server_kind="adam", server_lr=0.001).server_optimizer.build(6)
-    assert opt.spec.kind == "adam" and opt.spec.eps == 1e-7
+    # A server node keeps FedOpt's own defaults for the keys it omits.
+    strategy = FedOpt.from_node(
+        {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.001}},
+        theta=None)
+    opt = strategy.server.build(6)
+    assert opt.spec.kind == "adam" and opt.spec.lr == 0.001
+    assert opt.spec.eps == 1e-7
+    assert opt.slots["m"].shape == opt.slots["v"].shape == (6,)
