@@ -18,7 +18,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from typing import Optional
 
 import yaml
@@ -26,6 +26,7 @@ import yaml
 from .cluster_sim import (
     DATASETS,
     PARTITIONS,
+    EpochRecord,
     Iid,
     OptimizerSpec,
     RunConfig,
@@ -43,8 +44,7 @@ THETA_COEFFICIENTS = {
     "hpc": 2.74e-5,
 }
 
-METRICS_COLUMNS = ["epoch", "test_accuracy", "train_loss", "bytes_total",
-                   "bytes_state", "bytes_sync", "steps", "syncs"]
+METRICS_COLUMNS = [f.name for f in fields(EpochRecord)]
 SWEEP_COLUMNS = ["strategy", "theta", "workers", "reached_target", "steps",
                  "bytes", "status", "config"]
 
@@ -147,18 +147,13 @@ def _ensure_parent(path: str) -> None:
 
 
 def write_metrics_csv(report: RunReport, path: str) -> None:
-    _ensure_parent(path)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        for e in report.epochs:
-            writer.writerow([e.epoch, e.test_accuracy, e.train_loss,
-                             e.bytes_total, e.bytes_state, e.bytes_sync,
-                             e.steps, e.syncs])
+        writer.writerows(astuple(e) for e in report.epochs)
 
 
 def write_events_jsonl(report: RunReport, path: str) -> None:
-    _ensure_parent(path)
     with open(path, "w") as f:
         for s in report.steps:
             record = {"step": s.step, "worker_count": report.worker_count,
@@ -175,17 +170,20 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
         config = load_config(config_path)
         if audit_variance:
             config = replace(config, audit_variance=True)
+        for path in (config.metrics_csv, config.events_jsonl):
+            if path:  # an unusable output path fails before training
+                _ensure_parent(path)
         report = run(config)
+        if config.metrics_csv:
+            write_metrics_csv(report, config.metrics_csv)
+        if config.events_jsonl:
+            write_events_jsonl(report, config.events_jsonl)
     except RunDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if config.metrics_csv:
-        write_metrics_csv(report, config.metrics_csv)
-    if config.events_jsonl:
-        write_events_jsonl(report, config.events_jsonl)
     print(f"steps={report.final_steps} epochs={report.final_epochs} "
           f"syncs={report.sync_count} bytes={report.final_bytes} "
           f"test_accuracy={report.final_test_accuracy:.4f} "

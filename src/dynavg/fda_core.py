@@ -17,7 +17,7 @@ optimization) share the same `SyncStrategy` interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -37,36 +37,31 @@ XI_DEGENERATE_NORM = 1e-12
 
 @dataclass
 class LocalState:
-    """Per-worker pair (||u||^2, summary); mergeable by averaging.
+    """K workers' pairs (||u_k||^2, summary), mergeable by averaging.
 
-    Built from a (K, d) drift matrix it holds all K workers' pairs: a (K,)
-    norm array and either a (K,) projection array or, for sketches, one
-    (l, m) sketch of the mean drift.  By linearity that sketch is the mean
-    of the K workers' sketches, each of which still goes on the wire.
+    `drift_norm_sq` is a (K,) array; a (d,) drift is one worker.  `summary`
+    is the workers' mean summary: a 0-d mean projection <xi, u>, or the
+    (l, m) rows of one sketch of the mean drift, which by linearity is the
+    mean of the K sketches.  Every worker still ships its own summary.
     """
 
-    drift_norm_sq: Union[float, np.ndarray]
-    summary: Union[sk.AmsSketch, float, np.ndarray]
-
-    @property
-    def is_sketch(self) -> bool:
-        return isinstance(self.summary, sk.AmsSketch)
+    drift_norm_sq: np.ndarray
+    summary: np.ndarray
 
     @property
     def workers(self) -> int:
-        """How many workers' states this holds (1 for a single pair)."""
-        return int(np.size(self.drift_norm_sq))
+        return len(self.drift_norm_sq)
 
     @property
     def entries(self) -> int:
-        """Wire entries per worker: the norm, plus l*m sketch or 1 scalar."""
-        return 1 + (self.summary.rows.size if self.is_sketch else 1)
+        """Wire entries per worker: its norm and its summary."""
+        return 1 + self.summary.size
 
 
 @dataclass
 class AveragedState:
     mean_drift_norm_sq: float
-    mean_summary: Union[sk.AmsSketch, float]
+    mean_summary: np.ndarray
 
 
 def variance_exact(models) -> float:
@@ -89,62 +84,50 @@ def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     """The state of one drift (d,), or of the rows of a (K, d) matrix: their
     K squared norms and one sketch of their mean (rows added in ascending
     order), standing for the mean of the K sketches that the workers send."""
-    mean = u if u.ndim == 1 else ordered_sum(u) / len(u)
-    return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, mean))
+    u = np.atleast_2d(u)
+    return LocalState(drift_norm_sq=norm_sq(u),
+                      summary=sk.apply(t, ordered_sum(u) / len(u)).rows)
 
 
 def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
-    """The state of one drift (d,), or of each row of a (K, d) matrix."""
-    # Without xi the projection is 0.0, or K zeros for a matrix.
-    summary = np.zeros(u.shape[:-1])[()] if xi is None else dot(u, xi)
-    return LocalState(drift_norm_sq=norm_sq(u), summary=summary)
-
-
-def _stack(states: list[LocalState]) -> LocalState:
-    """K single-worker states as one stacked state; as in a (K, d) build,
-    its sketch is the mean of the K sketches (added in ascending order)."""
-    if len({s.is_sketch for s in states}) > 1:
-        raise ValueError("cannot average sketch and scalar states together")
-    if states and states[0].is_sketch:
-        rows = ordered_sum(np.stack([s.summary.rows for s in states]))
-        summary = sk.AmsSketch(rows=(1.0 / len(states)) * rows)
-    else:
-        summary = np.array([s.summary for s in states], dtype=np.float64)
-    return LocalState(
-        drift_norm_sq=np.array([s.drift_norm_sq for s in states],
-                               dtype=np.float64),
-        summary=summary)
+    """The state of one drift (d,), or of the rows of a (K, d) matrix: their
+    K squared norms and their mean projection on xi (0.0 without xi)."""
+    u = np.atleast_2d(u)
+    mean = 0.0 if xi is None else sum(dot(u, xi).tolist()) / len(u)
+    return LocalState(drift_norm_sq=norm_sq(u), summary=np.array(mean))
 
 
 def average_states(states) -> AveragedState:
-    """Elementwise mean of K same-kind states, in ascending worker order.
-
-    Takes a list of single-worker states, one such state, or one stacked
-    state, whose sketch already is the mean of the K workers' sketches."""
-    if isinstance(getattr(states, "drift_norm_sq", None), float):
-        states = [states]  # one worker's state, built from a (d,) drift
+    """Mean of K workers' states, in ascending worker order: one state
+    built from their drifts, or a list of one-worker states of one kind."""
     if not isinstance(states, LocalState):
-        states = _stack(states)
+        if (len({s.summary.shape for s in states}) != 1
+                or {s.workers for s in states} != {1}):
+            raise ValueError("can only average a list of one-worker states "
+                             "of one kind")
+        states = LocalState(
+            drift_norm_sq=np.concatenate([s.drift_norm_sq for s in states]),
+            summary=ordered_sum(np.stack([s.summary for s in states]))
+            / len(states))
     k = states.workers
     if k == 0:
         raise ValueError("average of no states")
     mean_norm = sum(states.drift_norm_sq.tolist()) / k
-    mean_summary: Union[sk.AmsSketch, float] = (
-        states.summary if states.is_sketch
-        else sum(states.summary.tolist()) / k)
-    return AveragedState(mean_drift_norm_sq=mean_norm, mean_summary=mean_summary)
+    return AveragedState(mean_drift_norm_sq=mean_norm,
+                         mean_summary=states.summary)
 
 
 def h_sketch(avg: AveragedState, eps: float) -> float:
     """Sketch-based overestimate: mean||u||^2 - M2(mean sketch)/(1+eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return avg.mean_drift_norm_sq - sk.m2_estimate(avg.mean_summary) / (1.0 + eps)
+    m2 = sk.m2_estimate(sk.AmsSketch(rows=avg.mean_summary))
+    return avg.mean_drift_norm_sq - m2 / (1.0 + eps)
 
 
 def h_linear(avg: AveragedState) -> float:
     """Projection-based overestimate: mean||u||^2 - (mean <xi,u>)^2."""
-    return avg.mean_drift_norm_sq - avg.mean_summary ** 2
+    return avg.mean_drift_norm_sq - float(avg.mean_summary) ** 2
 
 
 def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:

@@ -229,6 +229,20 @@ def test_empty_optional_node_reads_as_absent(tmp_path, overrides):
     assert config == cli.parse_config(drop_nulls(mapping))
 
 
+def test_readme_config_schema_parses():
+    # The README's schema block is a valid config under the strict-key
+    # parser, so a renamed or removed key there fails here.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Run config schema (YAML)", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = cli.parse_config(yaml.safe_load(block))
+    assert config.strategy == LinearFda(theta=0.00245)
+    assert config.dataset == BlobsSpec(n=6000, p=20, num_classes=3,
+                                       test_n=2000)
+    assert (config.metrics_csv, config.events_jsonl) == (
+        "out/metrics.csv", "out/events.jsonl")
+
+
 def test_load_config_bad_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("strategy: [unclosed")
@@ -361,6 +375,18 @@ def test_run_experiment_config_error(tmp_path):
     missing = base_mapping()
     del missing["dataset"]
     assert cli.run_experiment(write_config(tmp_path, missing)) == 2
+
+
+@pytest.mark.parametrize("key", ["metrics_csv", "events_jsonl"])
+def test_run_experiment_output_under_a_file_is_a_config_error(
+        tmp_path, capsys, monkeypatch, key):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    mapping = base_mapping(output={key: str(blocker / "out" / "report")})
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
+    assert cli.run_experiment(write_config(tmp_path, mapping)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -73,7 +73,7 @@ def test_sketch_state_zero_drift():
     t = sketch.make_transform(10, 3, 6, seed=1)
     state = fda_core.make_local_state_sketch(np.zeros(10), t)
     assert state.drift_norm_sq == 0.0
-    np.testing.assert_array_equal(state.summary.rows, 0.0)
+    np.testing.assert_array_equal(state.summary, 0.0)
 
 
 def test_sketch_state_norm_matches_vecmath():
@@ -87,9 +87,9 @@ def test_sketch_state_summary_linearity():
     t = sketch.make_transform(24, 3, 6, seed=2)
     rng = np.random.default_rng(4)
     u1, u2 = rng.standard_normal(24), rng.standard_normal(24)
-    lhs = fda_core.make_local_state_sketch(u1 + u2, t).summary.rows
-    rhs = (fda_core.make_local_state_sketch(u1, t).summary.rows
-           + fda_core.make_local_state_sketch(u2, t).summary.rows)
+    lhs = fda_core.make_local_state_sketch(u1 + u2, t).summary
+    rhs = (fda_core.make_local_state_sketch(u1, t).summary
+           + fda_core.make_local_state_sketch(u2, t).summary)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
@@ -124,6 +124,11 @@ def test_state_averaging_mixed_kinds_rejected():
     with pytest.raises(ValueError):  # a stacked state of zero workers
         fda_core.average_states(
             fda_core.make_local_state_linear(np.zeros((0, 4)), None))
+    # A list holds one-worker states; two stacked states are not averaged.
+    for s in (fda_core.make_local_state_sketch(np.ones((2, 4)), t),
+              fda_core.make_local_state_linear(np.ones((2, 4)), None)):
+        with pytest.raises(ValueError):
+            fda_core.average_states([s, s])
 
 
 def test_state_averaging_values():
@@ -135,18 +140,15 @@ def test_state_averaging_values():
     expected_norm = sum(float(u @ u) for u in drifts) / 3
     assert avg.mean_drift_norm_sq == pytest.approx(expected_norm, rel=1e-12)
     expected_rows = sum(sketch.apply(t, u).rows for u in drifts) / 3
-    np.testing.assert_allclose(avg.mean_summary.rows, expected_rows, rtol=1e-12)
+    np.testing.assert_allclose(avg.mean_summary, expected_rows, rtol=1e-12)
     # One worker's state, built from a (d,) drift, averages to itself.
     xi = drifts[1] / np.linalg.norm(drifts[1])
     for state in (fda_core.make_local_state_sketch(drifts[0], t),
                   fda_core.make_local_state_linear(drifts[0], None),
                   fda_core.make_local_state_linear(drifts[0], xi)):
         avg = fda_core.average_states(state)
-        assert avg.mean_drift_norm_sq == state.drift_norm_sq
-        if state.is_sketch:
-            assert np.array_equal(avg.mean_summary.rows, state.summary.rows)
-        else:
-            assert avg.mean_summary == state.summary
+        assert avg.mean_drift_norm_sq == state.drift_norm_sq[0]
+        assert np.array_equal(avg.mean_summary, state.summary)
 
 
 def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
@@ -162,21 +164,19 @@ def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
     assert float(np.sum(norms)) != ascending
     rows = rng.standard_normal((3, 5))
     avg = fda_core.average_states(fda_core.LocalState(
-        drift_norm_sq=norms, summary=sketch.AmsSketch(rows=rows.copy())))
+        drift_norm_sq=norms, summary=rows.copy()))
     assert avg.mean_drift_norm_sq == ascending / 9
-    assert np.array_equal(avg.mean_summary.rows, rows)
+    assert np.array_equal(avg.mean_summary, rows)
 
 
 def ref_average_states(states):
     """Per-worker averaging in ascending order, the bit-exact reference."""
     k = len(states)
-    mean_norm = sum(s.drift_norm_sq for s in states) / k
-    if states[0].is_sketch:
-        acc = states[0].summary.rows
-        for s in states[1:]:
-            acc = acc + s.summary.rows
-        return mean_norm, (1.0 / k) * acc
-    return mean_norm, sum(s.summary for s in states) / k
+    mean_norm = sum(float(s.drift_norm_sq[0]) for s in states) / k
+    acc = states[0].summary
+    for s in states[1:]:
+        acc = acc + s.summary
+    return mean_norm, acc / k
 
 
 @pytest.mark.parametrize("k", [3, 9])
@@ -220,9 +220,7 @@ def test_batched_states_match_per_worker_path(k):
         batched = make(drifts)
         assert batched.workers == k
         for i, state in enumerate(per_worker):
-            assert batched.drift_norm_sq[i] == state.drift_norm_sq
-            if not state.is_sketch:
-                assert batched.summary[i] == state.summary
+            assert batched.drift_norm_sq[i] == state.drift_norm_sq[0]
         assert {s.entries for s in per_worker} == {batched.entries}
         ref_norm, ref_summary = ref_average_states(per_worker)
         ledger = cs.CostLedger()
@@ -237,11 +235,11 @@ def test_batched_states_match_per_worker_path(k):
                 assert avg.mean_summary == ref_summary
                 assert h_of(avg) == h_of(listed)
             continue
-        assert np.array_equal(listed.mean_summary.rows, ref_summary)
+        assert np.array_equal(listed.mean_summary, ref_summary)
         mean_drift = vecmath.ordered_sum(drifts) / k
-        assert np.array_equal(stacked.mean_summary.rows,
+        assert np.array_equal(stacked.mean_summary,
                               sketch.apply(transform, mean_drift).rows)
-        np.testing.assert_allclose(stacked.mean_summary.rows, ref_summary,
+        np.testing.assert_allclose(stacked.mean_summary, ref_summary,
                                    rtol=1e-12, atol=0)
         assert h_of(stacked) == pytest.approx(h_of(listed), rel=1e-12)
 
@@ -279,8 +277,7 @@ def test_h_sketch_with_perfect_estimate_overestimates():
         drifts = random_drifts(rng, 5, 30)
         mean_drift = sum(drifts) / 5
         mean_norm = sum(float(u @ u) for u in drifts) / 5
-        perfect = sketch.AmsSketch(
-            rows=np.array([[np.linalg.norm(mean_drift), 0.0, 0.0]]))
+        perfect = np.array([[np.linalg.norm(mean_drift), 0.0, 0.0]])
         avg = fda_core.AveragedState(mean_drift_norm_sq=mean_norm,
                                      mean_summary=perfect)
         h = fda_core.h_sketch(avg, eps=0.25)

@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "linear-fda-k3": [],
     "sketch-fda-audit-k3": ["--audit-variance"],
+    "sketch-fda-k3": [],  # a 3x4 sketch: the mean of (l, m) rows, m > 1
     "fedopt-adam-k9": [],
     "local-sgd-adam-k9": [],
 }
