@@ -141,6 +141,8 @@ def config_to_mapping(config: RunConfig) -> dict:
 # --- report writing ---------------------------------------------------------
 
 def _ensure_parent(path: str) -> None:
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -278,10 +278,10 @@ class IdxSpec:
 
     def load(self, run_seed: int) -> tuple[Dataset, Dataset]:
         """The (train, test) splits; the run seed is not used."""
-        _, classes = self.shape()
         train = load_idx(self.train_images, self.train_labels)
         test = load_idx(self.test_images, self.test_labels)
-        train.num_classes = test.num_classes = classes
+        train.num_classes = test.num_classes = max(train.num_classes,
+                                                   test.num_classes)
         return train, test
 
 
@@ -369,8 +369,8 @@ def run(config: RunConfig) -> RunReport:
 
     The K worker models are the rows of one (K, d) float64 matrix, held as
     the params of a single `Model`, with the optimizer slots shaped (K, d)
-    alike.  Per step, in lock-step: each worker's `ShardSampler` fills one
-    row of a preallocated (K, b) batch; one `loss_and_grad` call computes
+    alike.  Per step, in lock-step: one `ShardSampler` call draws the
+    (K, b) batch, one row per worker; one `loss_and_grad` call computes
     all K gradients into a preallocated (K, d) buffer; one `apply_gradient`
     call updates the matrix in place; the exact variance is audited if
     asked; and the strategy's step hook, called as hook(t, matrix, reduce),
@@ -396,11 +396,8 @@ def run(config: RunConfig) -> RunReport:
                     config.hidden, np.tile(w0, (k, 1)))
     opt = config.optimizer.build((k, d))
     grad = np.empty((k, d))
-    batch = np.empty((k, config.batch_size), dtype=np.int64)
-    samplers = [ShardSampler(shard, config.batch_size, config.seed, i)
-                for i, shard in enumerate(shards)]
-    steps_per_epoch = max(s.batches_per_pass for s in samplers)
-    hook = config.strategy.start(d, w0, steps_per_epoch)
+    sampler = ShardSampler(shards, config.batch_size, config.seed)
+    hook = config.strategy.start(d, w0, sampler.batches_per_pass)
 
     ledger = CostLedger()
     step_records: list[StepRecord] = []
@@ -415,11 +412,10 @@ def run(config: RunConfig) -> RunReport:
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []
-        for _ in range(steps_per_epoch):
+        for _ in range(sampler.batches_per_pass):
             t += 1
-            for i, sampler in enumerate(samplers):
-                batch[i] = sampler.next_batch()
-            losses, _ = loss_and_grad(workers, batch, train, out=grad)
+            losses, _ = loss_and_grad(workers, sampler.next_batch(), train,
+                                      out=grad)
             apply_gradient(opt, workers.params, grad)
             train_loss = sum(losses.tolist()) / k
             if not math.isfinite(train_loss):

@@ -85,6 +85,7 @@ def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     K squared norms and one sketch of their mean (rows added in ascending
     order), standing for the mean of the K sketches that the workers send."""
     u = np.atleast_2d(u)
+    ensure(len(u) > 0, "local state of no workers")
     return LocalState(drift_norm_sq=norm_sq(u),
                       summary=sk.apply(t, ordered_sum(u) / len(u)).rows)
 
@@ -93,6 +94,7 @@ def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
     """The state of one drift (d,), or of the rows of a (K, d) matrix: their
     K squared norms and their mean projection on xi (0.0 without xi)."""
     u = np.atleast_2d(u)
+    ensure(len(u) > 0, "local state of no workers")
     mean = 0.0 if xi is None else sum(dot(u, xi).tolist()) / len(u)
     return LocalState(drift_norm_sq=norm_sq(u), summary=np.array(mean))
 
@@ -110,8 +112,7 @@ def average_states(states) -> AveragedState:
             summary=ordered_sum(np.stack([s.summary for s in states]))
             / len(states))
     k = states.workers
-    if k == 0:
-        raise ValueError("average of no states")
+    ensure(k > 0, "average of no states")
     mean_norm = sum(states.drift_norm_sq.tolist()) / k
     return AveragedState(mean_drift_norm_sq=mean_norm,
                          mean_summary=states.summary)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .schema import read, write
+from .schema import ensure, read, write
 from .vecmath import ParamVector
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -320,45 +320,45 @@ def apply_gradient(opt: OptimizerState, params: np.ndarray,
 
 
 class ShardSampler:
-    """Sequential mini-batches over one worker's shard.
+    """One (K, b) batch per `next_batch` call, row i from worker i's shard.
 
-    The shard order is reshuffled at the start of every local pass with a
-    seed derived from (run seed, worker id, pass index); a trailing partial
-    batch is dropped.
+    Worker i walks its shard in passes of len(shard_i) // b batches,
+    dropping a trailing partial batch, and reshuffles at the start of each
+    of its own passes with a seed derived from (run seed, worker, pass).
     """
 
     _STREAM_TAG = 3
 
-    def __init__(self, shard: np.ndarray, batch_size: int, run_seed: int,
-                 worker_id: int):
-        if batch_size < 1 or batch_size > len(shard):
-            raise ValueError(
-                f"batch size {batch_size} invalid for shard of {len(shard)}")
-        self.shard = np.asarray(shard)
-        self.batch_size = batch_size
-        self.run_seed = run_seed
-        self.worker_id = worker_id
-        self.epoch = 0
-        self._pos = 0
-        self._order = self._shuffled()
-
-    def _shuffled(self) -> np.ndarray:
-        seq = np.random.SeedSequence(
-            (self.run_seed, self._STREAM_TAG, self.worker_id, self.epoch))
-        return np.random.default_rng(seq).permutation(self.shard)
-
-    @property
-    def batches_per_pass(self) -> int:
-        return len(self.shard) // self.batch_size
+    def __init__(self, shards: list, batch_size: int, run_seed: int):
+        self.shards = [np.asarray(shard) for shard in shards]
+        self.batch_size, self.run_seed = batch_size, run_seed
+        shortest = min(map(len, self.shards), default=0)
+        ensure(1 <= batch_size <= shortest,
+               f"batch size {batch_size} invalid for shard of {shortest}")
+        self._passes = [len(shard) // batch_size for shard in self.shards]
+        self.batches_per_pass = top = max(self._passes)
+        # Rows i*top on hold worker i's current pass as batches, _rows each
+        # worker's current row; worker i starts a pass every _passes[i] steps.
+        self._table = np.empty((len(self.shards) * top, batch_size), np.int64)
+        self._rows = np.zeros(len(self.shards), np.int64)
+        self._step = self._next_start = 0
 
     def next_batch(self) -> Batch:
-        if self._pos + self.batch_size > len(self._order):
-            self.epoch += 1
-            self._order = self._shuffled()
-            self._pos = 0
-        batch = self._order[self._pos:self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return batch
+        t = self._step
+        self._step += 1
+        self._rows += 1
+        if t == self._next_start:
+            b, top = self.batch_size, self.batches_per_pass
+            for i, n in enumerate(self._passes):
+                if t % n == 0:
+                    seq = np.random.SeedSequence(
+                        (self.run_seed, self._STREAM_TAG, i, t // n))
+                    order = np.random.default_rng(seq).permutation(
+                        self.shards[i])[:n * b]
+                    self._table[i * top:i * top + n] = order.reshape(n, b)
+                    self._rows[i] = i * top
+            self._next_start = min(t + n - t % n for n in self._passes)
+        return self._table.take(self._rows, axis=0)
 
 
 def _idx_header(f, path: str, expected_magic: int, what: str) -> tuple:

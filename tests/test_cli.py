@@ -382,11 +382,13 @@ def test_run_experiment_output_under_a_file_is_a_config_error(
         tmp_path, capsys, monkeypatch, key):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    mapping = base_mapping(output={key: str(blocker / "out" / "report")})
     monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
-    assert cli.run_experiment(write_config(tmp_path, mapping)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    # A path under a file, and a path that is an existing directory.
+    for path in (blocker / "out" / "report", tmp_path):
+        mapping = base_mapping(output={key: str(path)})
+        assert cli.run_experiment(write_config(tmp_path, mapping)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

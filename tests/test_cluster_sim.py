@@ -370,11 +370,10 @@ def test_single_node_equivalence_oracle():
                           cs.derive_seed(seed, cs._SEED_PARTITION))
     model = learner.init_model("logistic", train.p, train.num_classes,
                                seed=cs.derive_seed(seed, cs._SEED_INIT))
-    samplers = [learner.ShardSampler(shards[i], b, seed, i)
-                for i in range(k)]
+    sampler = learner.ShardSampler(shards, b, seed)
     params = model.params.copy()
     for _ in range(report.final_steps):
-        batch = np.concatenate([s.next_batch() for s in samplers])
+        batch = sampler.next_batch().ravel()  # worker 0's batch first
         m = dataclasses.replace(model, params=params)
         _, grad = learner.loss_and_grad(m, batch, train)
         params = params - 0.05 * grad
@@ -553,24 +552,49 @@ def test_mlp_run_works():
     assert report.final_steps > 0
 
 
-def test_idx_dataset_run(tmp_path):
+def idx_spec(tmp_path, test_classes=3) -> cs.IdxSpec:
+    """Random 3x4 images with labels below 3 (train) and below
+    test_classes (test), written as IDX files."""
     from test_learner import write_idx_images, write_idx_labels
 
     rng = np.random.default_rng(31)
     paths = {}
-    for split, n in (("train", 120), ("test", 40)):
+    for split, n, classes in (("train", 120, 3), ("test", 40, test_classes)):
         images = rng.integers(0, 256, size=(n, 3, 4), dtype=np.uint8)
-        labels = rng.integers(0, 3, size=n, dtype=np.uint8)
+        labels = rng.integers(0, classes, size=n, dtype=np.uint8)
         ip = str(tmp_path / f"{split}-images.idx.gz")
         lp = str(tmp_path / f"{split}-labels.idx")
         write_idx_images(ip, images, gz=True)
         write_idx_labels(lp, labels)
         paths[split] = (ip, lp)
+    return cs.IdxSpec(train_images=paths["train"][0],
+                      train_labels=paths["train"][1],
+                      test_images=paths["test"][0],
+                      test_labels=paths["test"][1])
+
+
+def test_idx_load_reads_each_file_once(tmp_path, monkeypatch):
+    spec = idx_spec(tmp_path, test_classes=5)
+    read, paths = learner.read_idx, []
+
+    def counting_read(path, *args):
+        paths.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(learner, "read_idx", counting_read)
+    monkeypatch.setattr(cs, "read_idx", counting_read)
+    monkeypatch.setattr(cs, "idx_shape", lambda *a: pytest.fail("header"))
+    train, test = spec.load(run_seed=0)
+    assert sorted(paths) == sorted(dataclasses.astuple(spec))  # 4 reads
+    # Both splits share the larger class count, as shape() reports it.
+    assert train.num_classes == test.num_classes == 1 + max(test.labels)
+    monkeypatch.undo()
+    assert spec.shape() == (12, train.num_classes)
+
+
+def test_idx_dataset_run(tmp_path):
     cfg = cs.RunConfig(
-        dataset=cs.IdxSpec(train_images=paths["train"][0],
-                           train_labels=paths["train"][1],
-                           test_images=paths["test"][0],
-                           test_labels=paths["test"][1]),
+        dataset=idx_spec(tmp_path),
         strategy=LinearFda(theta=0.05), workers=2, batch_size=8,
         optimizer=cs.OptimizerSpec(kind="sgd", lr=0.05),
         accuracy_target=1.0, max_epochs=2, seed=13)

@@ -121,9 +121,15 @@ def test_state_averaging_mixed_kinds_rejected():
         fda_core.average_states([a, b])
     with pytest.raises(ValueError):
         fda_core.average_states([])
-    with pytest.raises(ValueError):  # a stacked state of zero workers
-        fda_core.average_states(
-            fda_core.make_local_state_linear(np.zeros((0, 4)), None))
+    # A state of zero workers cannot be built, with or without xi.
+    for build in (lambda u: fda_core.make_local_state_linear(u, None),
+                  lambda u: fda_core.make_local_state_linear(u, np.ones(4)),
+                  lambda u: fda_core.make_local_state_sketch(u, t)):
+        with pytest.raises(ValueError):
+            build(np.zeros((0, 4)))
+    with pytest.raises(ValueError):  # nor averaged
+        fda_core.average_states(fda_core.LocalState(
+            drift_norm_sq=np.zeros(0), summary=np.array(0.0)))
     # A list holds one-worker states; two stacked states are not averaged.
     for s in (fda_core.make_local_state_sketch(np.ones((2, 4)), t),
               fda_core.make_local_state_linear(np.ones((2, 4)), None)):

@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> extra `dynavg run` flags; every run stops at max_epochs (exit 1).
 CASES = {
     "linear-fda-k3": [],
+    # shards of 80, 80, 79, 79, 79: passes of 5, 5, 4, 4, 4 batches
+    "linear-fda-uneven-k5": [],
     "sketch-fda-audit-k3": ["--audit-variance"],
     "sketch-fda-k3": [],  # a 3x4 sketch: the mean of (l, m) rows, m > 1
     "fedopt-adam-k9": [],

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import itertools
 import math
 import os
 import struct
@@ -522,42 +523,78 @@ def test_argmax_ties_break_to_lowest_class():
 
 # --- batch sampling ---------------------------------------------------------
 
+def reference_batches(shard, batch_size, run_seed, worker):
+    """The per-worker sampling rule, one worker at a time: passes of
+    len(shard) // b batches, each over a fresh permutation seeded by
+    (run seed, 3, worker, pass), the trailing partial batch dropped."""
+    for pass_index in itertools.count():
+        seq = np.random.SeedSequence((run_seed, 3, worker, pass_index))
+        order = np.random.default_rng(seq).permutation(shard)
+        for start in range(0, len(order) - batch_size + 1, batch_size):
+            yield order[start:start + batch_size]
+
+
 def test_sampler_deterministic_and_covering():
-    shard = np.arange(100, 120)
-    a = learner.ShardSampler(shard, 5, run_seed=1, worker_id=0)
-    b = learner.ShardSampler(shard, 5, run_seed=1, worker_id=0)
-    first_pass = [a.next_batch() for _ in range(4)]
-    np.testing.assert_array_equal(np.concatenate(first_pass),
-                                  np.concatenate([b.next_batch() for _ in range(4)]))
-    assert sorted(np.concatenate(first_pass)) == sorted(shard)
+    shards = [np.arange(100, 120), np.arange(200, 215)]
+    a = learner.ShardSampler(shards, 5, run_seed=1)
+    b = learner.ShardSampler(shards, 5, run_seed=1)
+    first_pass = np.stack([a.next_batch() for _ in range(4)], axis=1)
+    np.testing.assert_array_equal(
+        first_pass, np.stack([b.next_batch() for _ in range(4)], axis=1))
+    assert first_pass.shape == (2, 4, 5)
+    assert sorted(first_pass[0].ravel()) == list(shards[0])
+    assert sorted(first_pass[1, :3].ravel()) == list(shards[1])
 
 
 def test_sampler_reshuffles_between_passes():
-    shard = np.arange(60)
-    s = learner.ShardSampler(shard, 10, run_seed=2, worker_id=1)
-    pass1 = np.concatenate([s.next_batch() for _ in range(6)])
-    pass2 = np.concatenate([s.next_batch() for _ in range(6)])
-    assert sorted(pass1) == sorted(pass2)
-    assert not np.array_equal(pass1, pass2)
+    s = learner.ShardSampler([np.arange(60), np.arange(60, 120)], 10,
+                             run_seed=2)
+    passes = np.stack([s.next_batch() for _ in range(12)], axis=1)
+    for row in passes.reshape(2, 2, 60):  # worker, pass, samples
+        assert sorted(row[0]) == sorted(row[1])
+        assert not np.array_equal(row[0], row[1])
 
 
 def test_sampler_drops_trailing_partial_batch():
-    s = learner.ShardSampler(np.arange(13), 5, run_seed=3, worker_id=0)
+    s = learner.ShardSampler([np.arange(13), np.arange(13, 23)], 5,
+                             run_seed=3)
     assert s.batches_per_pass == 2
     batches = [s.next_batch() for _ in range(4)]
-    assert all(len(b) == 5 for b in batches)
+    assert all(b.shape == (2, 5) for b in batches)
+    assert all(set(b[0]) <= set(range(13)) for b in batches)
 
 
 def test_sampler_rejects_oversized_batch():
-    with pytest.raises(ValueError):
-        learner.ShardSampler(np.arange(4), 5, run_seed=0, worker_id=0)
+    for shards, batch_size in (([np.arange(4)], 5),
+                               # one short shard is enough
+                               ([np.arange(10), np.arange(10, 14)], 5),
+                               ([np.arange(4)], 0),
+                               ([], 1)):
+        with pytest.raises(ValueError):
+            learner.ShardSampler(shards, batch_size, run_seed=0)
 
 
 def test_workers_draw_different_batches():
     shard = np.arange(50)
-    a = learner.ShardSampler(shard, 10, run_seed=7, worker_id=0)
-    b = learner.ShardSampler(shard, 10, run_seed=7, worker_id=1)
-    assert not np.array_equal(a.next_batch(), b.next_batch())
+    batch = learner.ShardSampler([shard, shard], 10, run_seed=7).next_batch()
+    assert not np.array_equal(batch[0], batch[1])
+
+
+@pytest.mark.parametrize("lengths, batch_size", [
+    ((9, 8, 12, 7, 5, 4), 4),      # 2, 2, 3, 1, 1, 1 batches per pass
+    ((480,) * 25 + (479,) * 25, 32),  # K=50: 15 or 14 batches per pass
+], ids=["uneven-k6", "k50"])
+def test_sampler_matches_per_worker_reference(lengths, batch_size):
+    rng = np.random.default_rng(5)
+    shards = np.split(rng.permutation(sum(lengths)), np.cumsum(lengths)[:-1])
+    sampler = learner.ShardSampler(shards, batch_size, run_seed=11)
+    passes = [len(shard) // batch_size for shard in shards]
+    assert sampler.batches_per_pass == max(passes)
+    streams = [reference_batches(shard, batch_size, 11, i)
+               for i, shard in enumerate(shards)]
+    for _ in range(3 * max(passes) + 1):  # 3+ passes of every worker
+        np.testing.assert_array_equal(
+            sampler.next_batch(), np.stack([next(s) for s in streams]))
 
 
 # --- data ingestion ---------------------------------------------------------
