@@ -7,7 +7,8 @@ aggregates one row per run.  `theta` prints a threshold preset c * d for a
 deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
-still written), 2 config error, 3 divergence.
+still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 when
+its `--out` path is unusable, before any run.
 """
 
 from __future__ import annotations
@@ -197,8 +198,11 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
     """Run every config in a directory; aggregate one row per run.
 
     Invalid configs produce a row with status "failed" and the sweep
-    continues.  Rows are sorted by (strategy, theta, workers).
+    continues.  Rows are sorted by (strategy, theta, workers).  An
+    unusable `output_csv` raises OSError before the first run.
     """
+    if output_csv is not None:
+        _ensure_parent(output_csv)
     paths = sorted(
         p for pattern in ("*.yaml", "*.yml", "*.json")
         for p in glob.glob(os.path.join(config_dir, pattern)))
@@ -232,7 +236,6 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
 
     rows.sort(key=sort_key)
     if output_csv is not None:
-        _ensure_parent(output_csv)
         with open(output_csv, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
             writer.writeheader()
@@ -264,7 +267,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "run":
         return run_experiment(args.config, audit_variance=args.audit_variance)
     if args.command == "sweep":
-        rows = sweep(args.config_dir, args.out)
+        try:
+            rows = sweep(args.config_dir, args.out)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         for row in rows:
             print(f"{row['config']}: status={row['status']} "
                   f"strategy={row['strategy']} bytes={row['bytes']}")

@@ -315,8 +315,12 @@ class RunConfig:
             ensure(getattr(self, name) >= 1, f"{name} must be >= 1")
         ensure(self.model_kind in MODEL_KINDS,
                f"unknown model kind {self.model_kind!r}")
-        ensure(not MODEL_KINDS[self.model_kind] or self.hidden >= 1,
+        hidden_layers = MODEL_KINDS[self.model_kind]
+        ensure(not hidden_layers or self.hidden >= 1,
                f"{self.model_kind} model needs hidden >= 1")
+        ensure(hidden_layers or self.hidden == 0,
+               f"{self.model_kind} model has no hidden layer: hidden must "
+               f"be 0, not {self.hidden}")
         ensure(self.init_scheme in INIT_SCHEMES,
                f"unknown init scheme {self.init_scheme!r}")
         self.partition_scheme.check(self.workers, self.dataset.num_classes)
@@ -373,13 +377,14 @@ def run(config: RunConfig) -> RunReport:
     (K, b) batch, one row per worker; one `loss_and_grad` call computes
     all K gradients into a preallocated (K, d) buffer; one `apply_gradient`
     call updates the matrix in place; the exact variance is audited if
-    asked; and the strategy's step hook, called as hook(t, matrix, reduce),
-    builds all K local states at once and decides what is exchanged.  The
-    hook sends every payload through `allreduce_average`, which charges the
-    ledger K times the per-worker payload, and may return a new common
-    model, which is copied into every row.  Test accuracy of the average
-    model is evaluated once per epoch; the run stops when it reaches the
-    target or after max_epochs.
+    asked; and the strategy's step hook, called as hook(t, matrix, reduce,
+    grad) with the spent gradient buffer as its scratch, builds all K local
+    states at once and decides what is exchanged.  The hook sends every
+    payload through `allreduce_average`, which charges the ledger K times
+    the per-worker payload, and may return a new common model, which is
+    copied into every row.  Test accuracy of the average model is
+    evaluated once per epoch; the run stops when it reaches the target or
+    after max_epochs.
     """
     k = config.workers
     train, test = config.dataset.load(config.seed)
@@ -426,7 +431,9 @@ def run(config: RunConfig) -> RunReport:
             if config.audit_variance:
                 variance = fda_core.variance_exact(workers.params)
 
-            h_val, common = hook(t, workers.params, reduce)
+            # apply_gradient spent grad, and the next loss_and_grad
+            # rewrites every entry: until then it is the hook's scratch.
+            h_val, common = hook(t, workers.params, reduce, grad)
             synced = common is not None
             if synced:
                 syncs += 1

@@ -150,26 +150,32 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 # workers' states stacked in one LocalState under "state", and bills the
 # ledger K times one worker's entries.
 Reduce = Callable[[object, str], object]
-# hook(t, (K, d) worker params, reduce) -> (H or None, new common model or
-# None).  The hook reads the matrix and must not keep or modify it.
-StepHook = Callable[[int, np.ndarray, Reduce],
+# hook(t, (K, d) worker params, reduce, (K, d) scratch) -> (H or None, new
+# common model or None).  The hook reads the params and must not keep or
+# modify them; it may overwrite the scratch matrix, whose entries mean
+# nothing, during its own call only.
+StepHook = Callable[[int, np.ndarray, Reduce, np.ndarray],
                     tuple[Optional[float], Optional[ParamVector]]]
 
 
-def _every_step(t: int, params: np.ndarray, reduce: Reduce):
+def _every_step(t: int, params: np.ndarray, reduce: Reduce,
+                scratch: np.ndarray):
     return None, reduce(params, "model-sync")
 
 
 def _variance_monitor(theta, w_sync, make_state, h_of,
                       reads_xi: bool) -> StepHook:
     """Exchange local states every step; average the models on strict
-    H > theta (ties keep training locally).  xi is recomputed on a sync
-    only when `make_state` reads it."""
+    H > theta (ties keep training locally).  The drifts are built in the
+    scratch matrix.  xi is recomputed on a sync only when `make_state`
+    reads it."""
     xi: Xi = None
 
-    def hook(t: int, params: np.ndarray, reduce: Reduce):
+    def hook(t: int, params: np.ndarray, reduce: Reduce,
+             scratch: np.ndarray):
         nonlocal xi, w_sync
-        h = h_of(reduce(make_state(params - w_sync, xi), "state"))
+        drift = np.subtract(params, w_sync, out=scratch)
+        h = h_of(reduce(make_state(drift, xi), "state"))
         if not h > theta:
             return h, None
         mean = reduce(params, "model-sync")
@@ -267,7 +273,7 @@ class LocalSgd(SyncStrategy):
         ensure(self.tau >= 1, "tau must be >= 1")
 
     def start(self, d, w0, steps_per_epoch):
-        def hook(t, params, reduce):
+        def hook(t, params, reduce, scratch):
             return None, None if t % self.tau else reduce(params, "model-sync")
         return hook
 
@@ -302,11 +308,12 @@ class FedOpt(SyncStrategy):
         state = self.server.build(d)
         w_global = w0
 
-        def hook(t, params, reduce):
+        def hook(t, params, reduce, scratch):
             nonlocal w_global
             if t % period:
                 return None, None
-            delta = reduce(params - w_global, "model-sync")
+            delta = reduce(np.subtract(params, w_global, out=scratch),
+                           "model-sync")
             w_global = apply_gradient(state, w_global.copy(), -delta)
             return None, w_global
 

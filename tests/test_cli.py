@@ -181,13 +181,14 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"row": 3}}},
     {"model": {"kind": "logistic", "hiden": 4}},
     {"strategy": {"kind": "fedopt", "server": {"learning_rate": 0.1}}},
+    {"model": {"kind": "logistic", "hidden": 128}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
         "server-lr-true", "metrics-csv-true", "theta-profile-int",
         "optimizer-learning-rate", "wokers", "linear-fda-sketch",
         "label-holder", "synchronous-theta-profile", "sketch-row",
-        "model-hiden", "server-learning-rate"])
+        "model-hiden", "server-learning-rate", "logistic-hidden"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):
@@ -443,6 +444,21 @@ def test_sweep_runs_configs_with_empty_nodes(tmp_path):
     status = {r["config"]: r["status"] for r in rows}
     assert status == {"a_good.yaml": "ok", "b_empty_nodes.yaml": "ok",
                       "c_model_not_a_mapping.yaml": "failed"}
+
+
+def test_sweep_unusable_out_is_a_config_error_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write_config(configs, base_mapping())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
+    # An existing directory, and a path under a file.
+    for out in (tmp_path, blocker / "agg.csv"):
+        assert cli.main(["sweep", str(configs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_sweep_grid_sorted_and_synchronous_dominates(tmp_path):

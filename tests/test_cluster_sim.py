@@ -411,7 +411,7 @@ class SyncAtSteps:
     label = "sync-at-steps"
 
     def start(self, d, w0, steps_per_epoch):
-        def hook(t, params, reduce):
+        def hook(t, params, reduce, scratch):
             if t not in self.steps:
                 return None, None
             return None, reduce(params, "model-sync")
@@ -509,11 +509,13 @@ def test_divergence_aborts():
     {"batch_size": 0},
     {"model_kind": "cnn"},
     {"model_kind": "mlp", "hidden": 0},
+    {"model_kind": "logistic", "hidden": 128},
     {"init_scheme": "zeros"},
     {"partition_scheme": cs.NonIidLabel(label=0, holders=3), "workers": 2},
     {"partition_scheme": cs.NonIidLabel(label=3)},
 ], ids=["max-epochs-0", "workers-0", "batch-0", "model-cnn", "mlp-hidden-0",
-        "init-zeros", "holders-over-workers", "label-over-classes"])
+        "logistic-hidden", "init-zeros", "holders-over-workers",
+        "label-over-classes"])
 def test_run_config_validates_itself(overrides):
     # blobs_config has 3 workers and 3 classes.
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,16 +377,23 @@ def recording_reduce(categories):
     return reduce
 
 
+def scratch_like(params):
+    """A hook's scratch matrix, NaN-filled: a hook must not read it."""
+    return np.full(np.shape(params), np.nan)
+
+
 def step_once(strategy, params):
     categories = []
     hook = strategy.start(len(params[0]), np.zeros(len(params[0])), 1)
-    h, common = hook(1, params, recording_reduce(categories))
+    h, common = hook(1, params, recording_reduce(categories),
+                     scratch_like(params))
     return h, common, categories
 
 
 def synced_steps(hook, steps):
     return [t for t in range(1, steps + 1)
-            if hook(t, TWO_DRIFTS, recording_reduce([]))[1] is not None]
+            if hook(t, TWO_DRIFTS, recording_reduce([]),
+                    scratch_like(TWO_DRIFTS))[1] is not None]
 
 
 def test_should_sync_linear_threshold():
@@ -417,7 +425,8 @@ def test_should_sync_synchronous_always():
     hook = Synchronous().start(2, np.zeros(2), 1)
     for t in range(1, 4):
         categories = []
-        h, common = hook(t, TWO_DRIFTS, recording_reduce(categories))
+        h, common = hook(t, TWO_DRIFTS, recording_reduce(categories),
+                         scratch_like(TWO_DRIFTS))
         assert h is None and categories == ["model-sync"]
         np.testing.assert_array_equal(common, [0.5, 0.5])
 
@@ -435,11 +444,41 @@ def test_should_sync_fedopt_epoch_boundary():
 def test_start_builds_fresh_monitor_state():
     strategy = LinearFda(theta=0.6)
     hook = strategy.start(2, np.zeros(2), 1)
-    hook(1, TWO_DRIFTS, recording_reduce([]))  # syncs: xi and w_sync move
-    h_after_sync, _ = hook(2, TWO_DRIFTS, recording_reduce([]))
+    scratch = scratch_like(TWO_DRIFTS)
+    hook(1, TWO_DRIFTS, recording_reduce([]), scratch)  # syncs: xi, w_sync move
+    h_after_sync, _ = hook(2, TWO_DRIFTS, recording_reduce([]), scratch)
     h_fresh, _, _ = step_once(strategy, TWO_DRIFTS)
     assert h_after_sync == pytest.approx(0.5)
     assert h_fresh == 1.0
+
+
+@pytest.mark.parametrize("strategy,syncs", [
+    (LinearFda(theta=1e9), False), (LinearFda(theta=1.0), True),
+    (SketchFda(theta=1e9), False), (SketchFda(theta=1.0), True),
+    (FedOpt(), True),
+], ids=["linear", "linear-syncing", "sketch", "sketch-syncing", "fedopt"])
+def test_hooks_build_the_drift_in_scratch(strategy, syncs):
+    # The (K, d) drift or pseudo-gradient goes into the run's scratch
+    # matrix: no call allocates as much as one more (K, d) float64 array.
+    k, d = 4, 50_000
+    rng = np.random.default_rng(13)
+    w0 = rng.standard_normal(d)
+    params = w0 + rng.standard_normal((k, d))
+    scratch = np.empty((k, d))
+    hook = strategy.start(d, w0, 1)
+    peaks, synced = [], []
+    tracemalloc.start()
+    try:
+        for t in range(1, 4):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _, common = hook(t, params, recording_reduce([]), scratch)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            synced.append(common is not None)
+    finally:
+        tracemalloc.stop()
+    assert synced == [syncs] * 3
+    assert max(peaks) < params.nbytes
 
 
 def fedopt_server(**changes):
@@ -473,7 +512,7 @@ def test_validate_strategy():
 def server_round(strategy, w_global, params):
     """Run one FedOpt round from `w_global` on the (K, d) worker models."""
     hook = strategy.start(len(w_global), w_global, 1)
-    h, common = hook(1, params, recording_reduce([]))
+    h, common = hook(1, params, recording_reduce([]), scratch_like(params))
     assert h is None
     return common
 
@@ -508,7 +547,8 @@ def test_fedopt_momentum_matches_recurrence():
     hook = FedOpt().start(d, w, 1)
     got = w
     for t, delta in enumerate(deltas, start=1):
-        _, got = hook(t, (got + delta)[None], recording_reduce([]))
+        params = (got + delta)[None]
+        _, got = hook(t, params, recording_reduce([]), scratch_like(params))
     vel = np.zeros(d)
     expected = w
     for delta in deltas:

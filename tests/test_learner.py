@@ -225,6 +225,26 @@ def test_rebinding_params_or_buffer_never_reuses_stale_views():
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.parametrize("kind,hidden", [("logistic", 0), ("mlp", 6)])
+def test_loss_and_grad_overwrites_every_entry_of_its_buffer(kind, hidden):
+    # The run lends its spent gradient buffer to the step hook as scratch.
+    # That is safe because the next call, through the views it built on
+    # the first, rewrites every entry: none of the NaNs may survive.
+    data = tiny_data(n=64, p=7, classes=3, seed=32)
+    rng = np.random.default_rng(33)
+    d = learner.param_count(kind, 7, 3, hidden)
+    model = learner.Model(kind, 7, 3, hidden, rng.standard_normal((4, d)))
+    batch = rng.integers(0, data.n, size=(4, 16))
+    buf = np.full((4, d), np.nan)
+    _, expected = learner.loss_and_grad(
+        learner.Model(kind, 7, 3, hidden, model.params.copy()), batch, data)
+    for _ in range(2):  # the pass built for `buf`, then the same pass kept
+        _, grads = learner.loss_and_grad(model, batch, data, out=buf)
+        assert grads is buf and model._pass.out is buf
+        assert np.array_equal(buf, expected)
+        buf.fill(np.nan)
+
+
 # --- model construction -----------------------------------------------------
 
 def test_logistic_param_count():
