@@ -396,13 +396,13 @@ def run(config: RunConfig) -> RunReport:
     mean_model = init_model(config.model_kind, train.p, train.num_classes,
                             config.hidden, init_scheme=config.init_scheme,
                             seed=derive_seed(config.seed, _SEED_INIT))
-    w0 = mean_model.params
     workers = Model(config.model_kind, train.p, train.num_classes,
-                    config.hidden, np.tile(w0, (k, 1)))
+                    config.hidden, np.tile(mean_model.params, (k, 1)))
     opt = config.optimizer.build((k, d))
     grad = np.empty((k, d))
     sampler = ShardSampler(shards, config.batch_size, config.seed)
-    hook = config.strategy.start(d, w0, sampler.batches_per_pass)
+    hook = config.strategy.start(d, mean_model.params,
+                                 sampler.batches_per_pass)
 
     ledger = CostLedger()
     step_records: list[StepRecord] = []
@@ -427,12 +427,13 @@ def run(config: RunConfig) -> RunReport:
                 raise RunDivergedError(
                     f"non-finite training loss at step {t}")
 
+            # apply_gradient spent grad, and the next loss_and_grad
+            # rewrites every entry: until then the audit and the hook use
+            # it as scratch.
             variance = None
             if config.audit_variance:
-                variance = fda_core.variance_exact(workers.params)
+                variance = fda_core.variance_exact(workers.params, out=grad)
 
-            # apply_gradient spent grad, and the next loss_and_grad
-            # rewrites every entry: until then it is the hook's scratch.
             h_val, common = hook(t, workers.params, reduce, grad)
             synced = common is not None
             if synced:

@@ -64,14 +64,15 @@ class AveragedState:
     mean_summary: np.ndarray
 
 
-def variance_exact(models) -> float:
+def variance_exact(models, out: Optional[np.ndarray] = None) -> float:
     """Mean squared distance of K vectors (a list or the rows of a (K, d)
     matrix) from their average; the K squared norms add in ascending
-    order."""
+    order.  The centred rows are written into `out` (K, d) when given."""
     models = np.asarray(models, dtype=np.float64)
     if len(models) == 0:
         raise ValueError("variance of an empty list")
-    return float(ordered_sum(norm_sq(models - average(models)))) / len(models)
+    centred = np.subtract(models, average(models), out=out)
+    return float(ordered_sum(norm_sq(centred))) / len(models)
 
 
 def variance_from_drifts(mean_drift_norm_sq: float,
@@ -86,8 +87,9 @@ def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     order), standing for the mean of the K sketches that the workers send."""
     u = np.atleast_2d(u)
     ensure(len(u) > 0, "local state of no workers")
-    return LocalState(drift_norm_sq=norm_sq(u),
-                      summary=sk.apply(t, ordered_sum(u) / len(u)).rows)
+    mean = ordered_sum(u)
+    mean /= len(u)
+    return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, mean).rows)
 
 
 def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:

@@ -287,7 +287,9 @@ def apply_gradient(opt: OptimizerState, params: np.ndarray,
     with the Nesterov flavor stepping along g + mu*v.  Adam applies bias
     correction; AdamW adds decoupled decay lr*wd*w on top of the Adam step.
     Each product and sum rounds as in the textbook expression
-    `params - lr * update`.
+    `params - lr * update`.  Nesterov momentum and both Adam kinds
+    allocate one temporary of params' shape per step; SGD and plain
+    momentum allocate none.
     """
     spec = opt.spec
     opt.step += 1
@@ -301,21 +303,27 @@ def apply_gradient(opt: OptimizerState, params: np.ndarray,
         else:
             grad[...] = vel
     elif adam:
+        # tmp holds in turn (1-b1)*g, (1-b2)*g, the denominator and
+        # AdamW's decay (lr*wd)*w, taken before params move.
         m, v = opt.slots["m"], opt.slots["v"]
+        tmp = np.multiply(1.0 - spec.beta1, grad)
         m *= spec.beta1
-        m += (1.0 - spec.beta1) * grad
+        m += tmp
         v *= spec.beta2
-        grad *= (1.0 - spec.beta2) * grad
+        grad *= np.multiply(1.0 - spec.beta2, grad, out=tmp)
         v += grad
         np.divide(m, 1.0 - spec.beta1 ** opt.step, out=grad)  # m_hat
     grad *= spec.lr
     if adam:
-        grad /= np.sqrt(v / (1.0 - spec.beta2 ** opt.step)) + spec.eps
-    decay = spec.lr * spec.weight_decay * params \
-        if spec.kind == "adamw" else None
+        np.divide(v, 1.0 - spec.beta2 ** opt.step, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += spec.eps
+        grad /= tmp
+    if spec.kind == "adamw":
+        np.multiply(spec.lr * spec.weight_decay, params, out=tmp)
     params -= grad
-    if decay is not None:
-        params -= decay
+    if spec.kind == "adamw":
+        params -= tmp
     return params
 
 
@@ -407,7 +415,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise ValueError(
             f"image count {images.shape[0]} does not match "
             f"label count {labels.shape[0]}")
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    features = images.reshape(images.shape[0], -1).astype(np.float64)
+    features /= 255.0  # in place: no second float64 copy
     labels = labels.astype(np.int64)
     return Dataset(features=features, labels=labels,
                    num_classes=int(labels.max()) + 1)

@@ -28,11 +28,14 @@ def _poly_hash(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Evaluate a polynomial over the prime field at every entry of x.
 
     Intermediate products stay below 2^63 because all operands are reduced
-    modulo the prime (< 2^31) before each multiply.
+    modulo the prime (< 2^31) before each multiply.  Horner's steps run in
+    place, so the only array made is the result.
     """
     acc = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:
-        acc = (acc * x + c) % MERSENNE_PRIME
+        acc *= x
+        acc += c
+        acc %= MERSENNE_PRIME
     return acc
 
 
@@ -42,21 +45,23 @@ class SketchTransform:
 
     Row i keeps each coordinate's bucket and sign in one signed bin,
     `bins[i, j] = h_i(j) + m * [s_i(j) < 0]`, in [0, 2m).  `bins` is
-    read-only; it views `_bins`, kept writable because `np.bincount`
-    copies a read-only index on every call."""
+    read-only, in the smallest unsigned dtype that holds 2m - 1.
+    `np.bincount` copies any index that is not intp, so `apply` widens one
+    row at a time into `_row`, a (d,) intp buffer the transform owns."""
 
     d: int
     l: int
     m: int
     seed: int
-    bins: np.ndarray  # (l, d) int64, values in [0, 2m)
-    _bins: np.ndarray = field(init=False, repr=False, compare=False)
+    bins: np.ndarray  # (l, d) uint8 or wider, values in [0, 2m)
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bins = np.require(self.bins, np.int64, ["C", "W"])
-        object.__setattr__(self, "_bins", bins)
-        object.__setattr__(self, "bins", bins.view())
-        self.bins.setflags(write=False)
+        bins = np.require(self.bins, np.min_scalar_type(2 * self.m - 1),
+                          "C").view()
+        bins.setflags(write=False)
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "_row", np.empty(self.d, np.intp))
 
 
 @dataclass
@@ -64,6 +69,19 @@ class AmsSketch:
     """l x m output of a transform; additive in the sketched vector."""
 
     rows: np.ndarray  # (l, m) float64
+
+
+def _signed_bin_row(idx: np.ndarray, m: int, coeffs: np.ndarray) -> np.ndarray:
+    """h(j) + m * [s(j) < 0] at every j in idx, from one row's (bucket, sign)
+    coefficients; the sign is -1 where the low bit of the sign hash is 0."""
+    row = _poly_hash(idx, coeffs[1])
+    row &= 1
+    row ^= 1
+    row *= m
+    bucket = _poly_hash(idx, coeffs[0])
+    bucket %= m
+    row += bucket
+    return row
 
 
 def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
@@ -75,11 +93,9 @@ def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
     coeffs = rng.integers(0, MERSENNE_PRIME, size=(l, 2, _POLY_DEGREE + 1),
                           dtype=np.int64)
     idx = np.arange(d, dtype=np.int64)
-    bins = np.empty((l, d), dtype=np.int64)
-    for i in range(l):
-        # The sign is -1 where the low bit of the sign hash is 0.
-        bins[i] = _poly_hash(idx, coeffs[i, 0]) % m
-        bins[i] += m * (1 - (_poly_hash(idx, coeffs[i, 1]) & 1))
+    bins = np.empty((l, d), dtype=np.min_scalar_type(2 * m - 1))
+    for i in range(l):  # a row's int64 temporaries die before the next's
+        bins[i] = _signed_bin_row(idx, m, coeffs[i])
     return SketchTransform(d=d, l=l, m=m, seed=seed, bins=bins)
 
 
@@ -92,7 +108,8 @@ def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
         raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
     rows = np.empty((t.l, t.m), dtype=np.float64)
     for i in range(t.l):
-        signed = np.bincount(t._bins[i], weights=v, minlength=2 * t.m)
+        np.copyto(t._row, t.bins[i])
+        signed = np.bincount(t._row, weights=v, minlength=2 * t.m)
         np.subtract(signed[:t.m], signed[t.m:], out=rows[i])
     return AmsSketch(rows=rows)
 

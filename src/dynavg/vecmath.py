@@ -48,9 +48,11 @@ def ordered_sum(m: np.ndarray) -> np.ndarray:
 
 def average(vs) -> ParamVector:
     """Elementwise mean of K vectors, given as a list or as the rows of a
-    (K, d) matrix, accumulated in ascending order."""
+    (K, d) matrix, accumulated in ascending order and divided in place."""
     m = np.asarray(vs, dtype=np.float64)
     if m.ndim != 2 or len(m) == 0:
         raise ValueError(f"average needs K >= 1 vectors of one length, "
                          f"got shape {m.shape}")
-    return ordered_sum(m) / len(m)
+    mean = ordered_sum(m)
+    mean /= len(m)
+    return mean

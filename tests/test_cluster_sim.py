@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,31 @@ def test_mlp_run_works():
     report = cs.run(cfg)
     assert report.model_dim == learner.param_count("mlp", 8, 3, 6)
     assert report.final_steps > 0
+
+
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_sketch_mlp_run_holds_models_gradient_and_transform(audit):
+    # p=784, h=128: d = 101,770.  Beyond the data, a run holds the K
+    # models and the gradient buffer, the transform's uint16 bins, and at
+    # most six (d,) float64 or intp vectors: the transform's widened row,
+    # the mean model, the sync point and the mean drift among them.
+    k, rows = 5, 5
+    cfg = blobs_config(SketchFda(theta=1.0, rows=rows, cols=250, seed=2),
+                       workers=k, n=400, p=784, classes=10, lr=0.3,
+                       max_epochs=2, audit=audit)
+    cfg = dataclasses.replace(cfg, model_kind="mlp", hidden=128)
+    tracemalloc.start()
+    try:
+        report = cs.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = report.model_dim
+    assert report.sync_count > 0 and d == 101_770
+    data = sum(x.features.nbytes + x.labels.nbytes
+               for x in cfg.dataset.load(cfg.seed))
+    budget = 2 * k * d * 8 + rows * d * 2 + 6 * d * 8
+    assert peak - data < budget
 
 
 def idx_spec(tmp_path, test_classes=3) -> cs.IdxSpec:

@@ -266,6 +266,40 @@ def test_variance_exact_matrix_matches_per_worker_loop(k):
     assert fda_core.variance_exact(list(models)) == total / k
 
 
+def test_variance_exact_centres_the_rows_into_out():
+    # The centred rows go into the caller's (K, d) matrix: the call itself
+    # allocates only the (d,) mean.
+    k, d = 5, 50_000
+    models = np.random.default_rng(4).standard_normal((k, d))
+    out = np.empty((k, d))
+    tracemalloc.start()
+    try:
+        got = fda_core.variance_exact(models, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * d
+    assert got == fda_core.variance_exact(models)
+    np.testing.assert_array_equal(out, models - vecmath.average(models))
+
+
+def test_sketch_state_makes_one_d_sized_array():
+    # The mean drift is divided in place, and `sketch.apply` widens its
+    # bins into the transform's own row: one (d,) array per call.
+    k, d = 5, 100_000
+    t = sketch.make_transform(d, 5, 250, seed=3)
+    u = np.random.default_rng(5).standard_normal((k, d))
+    tracemalloc.start()
+    try:
+        state = fda_core.make_local_state_sketch(u, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * d
+    expected = sketch.apply(t, vecmath.ordered_sum(u) / k).rows
+    assert state.summary.tobytes() == expected.tobytes()
+
+
 # --- H functions ------------------------------------------------------------
 
 def test_h_sketch_zero_drifts():

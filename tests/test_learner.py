@@ -483,6 +483,33 @@ def test_in_place_matrix_update_matches_reference(spec):
         assert np.array_equal(got, np.stack(rows))
 
 
+@pytest.mark.parametrize("spec, temporaries", [
+    (learner.OptimizerSpec(kind="sgd", lr=0.1), 0),
+    (learner.OptimizerSpec(kind="sgd-momentum", lr=0.1), 0),
+    (learner.OptimizerSpec(kind="sgd-momentum", lr=0.1, nesterov=True), 1),
+    (learner.OptimizerSpec(kind="adam", lr=0.05), 1),
+    (learner.OptimizerSpec(kind="adamw", lr=0.05, weight_decay=0.1), 1),
+], ids=["sgd", "sgd-momentum", "sgd-momentum-nesterov", "adam", "adamw"])
+def test_update_allocates_at_most_one_params_sized_temporary(spec,
+                                                             temporaries):
+    k, d = 5, 101_770
+    rng = np.random.default_rng(21)
+    params = rng.standard_normal((k, d))
+    opt = spec.build((k, d))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            grad = rng.standard_normal((k, d))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            learner.apply_gradient(opt, params, grad)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < (temporaries + 0.1) * params.nbytes
+
+
 def test_unknown_optimizer_rejected():
     with pytest.raises(ValueError):
         learner.OptimizerSpec(kind="rmsprop", lr=0.1)
@@ -688,6 +715,25 @@ def test_load_idx_count_mismatch(tmp_path):
     write_idx_labels(lp, labels)
     with pytest.raises(ValueError, match="count"):
         learner.load_idx(ip, lp)
+
+
+def test_load_idx_scales_pixels_in_place(tmp_path):
+    # One float64 copy of the pixels: they are divided by 255 in place.
+    rng = np.random.default_rng(32)
+    images = rng.integers(0, 256, size=(500, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=500, dtype=np.uint8)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
+    tracemalloc.start()
+    try:
+        data = learner.load_idx(ip, lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.features.nbytes
+    expected = images.reshape(500, -1).astype(np.float64) / 255.0
+    assert data.features.tobytes() == expected.tobytes()
 
 
 MNIST_DIR = os.environ.get("MNIST_DIR", "")

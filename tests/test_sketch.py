@@ -13,15 +13,25 @@ def hand_transform(d, m, buckets, signs):
     return sketch.SketchTransform(d=d, l=1, m=m, seed=-1, bins=b + m * negative)
 
 
+def python_poly_hash(d, coeffs):
+    """The degree-3 polynomial at 0..d-1 by Horner's rule in Python ints."""
+    out = []
+    for x in range(d):
+        acc = 0
+        for c in coeffs.tolist():
+            acc = (acc * x + c) % sketch.MERSENNE_PRIME
+        out.append(acc)
+    return np.array(out)
+
+
 def reference_hashes(d, l, m, seed):
     """Bucket and sign tables drawn from the polynomial family, one
     (l, d) table each."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     coeffs = rng.integers(0, sketch.MERSENNE_PRIME, size=(l, 2, 4),
                           dtype=np.int64)
-    idx = np.arange(d, dtype=np.int64)
-    buckets = np.stack([sketch._poly_hash(idx, c[0]) % m for c in coeffs])
-    signs = np.stack([2.0 * (sketch._poly_hash(idx, c[1]) & 1) - 1.0
+    buckets = np.stack([python_poly_hash(d, c[0]) % m for c in coeffs])
+    signs = np.stack([2.0 * (python_poly_hash(d, c[1]) & 1) - 1.0
                       for c in coeffs])
     return buckets, signs
 
@@ -77,10 +87,27 @@ def test_transform_holds_one_signed_bin_table():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    # The uint16 signed bins, plus the (d,) intp row that `apply` hands to
+    # np.bincount.
+    assert t.bins.dtype == np.uint16 and t.bins.shape == (l, d)
+    assert t._row.dtype == np.intp and t._row.shape == (d,)
     arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
-    assert all(np.shares_memory(a, t._bins) for a in arrays)
-    assert t._bins.nbytes == 8 * l * d
-    assert held < 8 * l * d + 64 * 1024
+    assert len(arrays) == 2
+    assert held < 2 * l * d + 8 * d + 64 * 1024
+
+
+@pytest.mark.parametrize("m, dtype", [(1, np.uint8), (128, np.uint8),
+                                      (129, np.uint16), (32768, np.uint16),
+                                      (32769, np.uint32)])
+def test_bins_take_the_smallest_dtype_holding_2m_minus_1(m, dtype):
+    t = sketch.make_transform(300, 2, m, seed=4)
+    assert t.bins.dtype == dtype
+    # Narrowing changes no bin: the sketch equals bincount over int64 bins.
+    v = np.random.default_rng(m).standard_normal(300)
+    signed = [np.bincount(row, weights=v, minlength=2 * m)
+              for row in t.bins.astype(np.int64)]
+    np.testing.assert_array_equal(sketch.apply(t, v).rows,
+                                  [s[:m] - s[m:] for s in signed])
 
 
 def test_apply_makes_no_d_sized_temporary():
@@ -175,10 +202,7 @@ def test_transform_tables_read_only():
     t = sketch.make_transform(40, 3, 8, seed=6)
     with pytest.raises(ValueError):
         t.bins[0, 0] = 1
-    # The index `apply` reads is the same memory, kept writable so that
-    # np.bincount need not copy it on every call.
-    assert np.shares_memory(t.bins, t._bins) and t._bins.flags.writeable
-    assert t._bins.dtype == np.int64 and np.array_equal(t._bins, t.bins)
+    assert t.bins.dtype == np.uint8 and t.bins.max() < 2 * t.m
 
 
 def test_m2_zero_sketch():

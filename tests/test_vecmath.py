@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,17 @@ def test_dot_and_norm_sq_rows_match_np_dot():
     assert np.array_equal(vecmath.dot(m, v), [np.dot(row, v) for row in m])
     assert np.array_equal(vecmath.norm_sq(m), [np.dot(row, row) for row in m])
     assert vecmath.dot(m[0], v) == float(np.dot(m[0], v))
+
+
+def test_average_makes_one_d_sized_array():
+    # The ordered sum is divided in place: the mean is the only (d,) array.
+    k, d = 5, 100_000
+    m = np.random.default_rng(8).standard_normal((k, d))
+    tracemalloc.start()
+    try:
+        mean = vecmath.average(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * d
+    assert mean.tobytes() == (vecmath.ordered_sum(m) / k).tobytes()
