@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
-import json
 import os
 import sys
 from dataclasses import astuple, fields, replace
@@ -156,13 +155,31 @@ def write_metrics_csv(report: RunReport, path: str) -> None:
         writer.writerows(astuple(e) for e in report.epochs)
 
 
+# How `json.dumps` spells the floats that `repr` spells otherwise.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: Optional[float]) -> str:
+    if x is None:
+        return "null"
+    text = repr(x)
+    return _JSON_FLOATS.get(text, text)
+
+
 def write_events_jsonl(report: RunReport, path: str) -> None:
+    """One line per step, formatted straight from the step log's columns,
+    byte for byte as `json.dumps` renders {"step", "worker_count", "H",
+    "synced", "bytes_cumulative"}: H is `null` when unset and `NaN`,
+    `Infinity` or `-Infinity` when not finite."""
+    log, k = report.steps, report.worker_count
+    lines = (f'{{"step": {t}, "worker_count": {k}, "H": {_json_float(h)}, '
+             f'"synced": {"true" if synced else "false"}, '
+             f'"bytes_cumulative": {b}}}\n'
+             for t, h, synced, b in zip(
+                 log.column("step"), log.column("h_value"),
+                 log.column("synced"), log.column("bytes_cumulative")))
     with open(path, "w") as f:
-        for s in report.steps:
-            record = {"step": s.step, "worker_count": report.worker_count,
-                      "H": s.h_value, "synced": s.synced,
-                      "bytes_cumulative": s.bytes_cumulative}
-            f.write(json.dumps(record) + "\n")
+        f.writelines(lines)
 
 
 # --- CLI operations ---------------------------------------------------------

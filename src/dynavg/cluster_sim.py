@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass, field
 from typing import ClassVar, Optional, Union
 
@@ -324,6 +326,11 @@ class RunConfig:
         ensure(self.init_scheme in INIT_SCHEMES,
                f"unknown init scheme {self.init_scheme!r}")
         self.partition_scheme.check(self.workers, self.dataset.num_classes)
+        if self.metrics_csv and self.events_jsonl:
+            ensure(os.path.realpath(self.metrics_csv)
+                   != os.path.realpath(self.events_jsonl),
+                   f"metrics_csv and events_jsonl name one file: "
+                   f"{self.events_jsonl}")
 
 
 # --- run reporting ----------------------------------------------------------
@@ -336,6 +343,77 @@ class StepRecord:
     variance: Optional[float]  # exact, pre-sync; only under audit
     train_loss: float
     bytes_cumulative: int
+
+
+# StepLog flag bits, one flags byte per step.
+_SYNCED, _HAS_H, _HAS_VARIANCE = 1, 2, 4
+
+
+class StepLog(Sequence):
+    """The per-step records of one run, held as typed `array` columns.
+
+    Row i is step i + 1.  One flags byte per row holds `synced` and whether
+    `h_value` and `variance` are set; an unset value is stored as 0.0 and
+    read back as None, so None, NaN, ±inf and -0.0 all round-trip.  That is
+    33 bytes per step; a `StepRecord` with its boxed scalars takes about
+    250, so rows are built only on access.  A slice is a list of them.
+    """
+
+    def __init__(self) -> None:
+        self._flags = array("B")
+        self._h = array("d")
+        self._variance = array("d")
+        self._loss = array("d")
+        self._bytes = array("q")
+
+    def append(self, synced: bool, h_value: Optional[float],
+               variance: Optional[float], train_loss: float,
+               bytes_cumulative: int) -> None:
+        """Record the next step."""
+        self._flags.append(synced | (h_value is not None) << 1
+                           | (variance is not None) << 2)
+        self._h.append(0.0 if h_value is None else h_value)
+        self._variance.append(0.0 if variance is None else variance)
+        self._loss.append(train_loss)
+        self._bytes.append(bytes_cumulative)
+
+    def __len__(self) -> int:
+        return len(self._flags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        return self._row(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        return map(self._row, range(len(self)))
+
+    def _row(self, i: int) -> StepRecord:
+        flags = self._flags[i]
+        return StepRecord(
+            step=i + 1, synced=bool(flags & _SYNCED),
+            h_value=self._h[i] if flags & _HAS_H else None,
+            variance=self._variance[i] if flags & _HAS_VARIANCE else None,
+            train_loss=self._loss[i], bytes_cumulative=self._bytes[i])
+
+    def column(self, name: str) -> Iterator:
+        """The `StepRecord` field `name` of every row, in step order,
+        without building the rows."""
+        if name == "step":
+            return iter(range(1, len(self) + 1))
+        if name == "synced":
+            return (bool(f & _SYNCED) for f in self._flags)
+        if name == "h_value":
+            return (h if f & _HAS_H else None
+                    for f, h in zip(self._flags, self._h))
+        if name == "variance":
+            return (v if f & _HAS_VARIANCE else None
+                    for f, v in zip(self._flags, self._variance))
+        if name == "train_loss":
+            return iter(self._loss)
+        if name == "bytes_cumulative":
+            return iter(self._bytes)
+        raise KeyError(f"no StepRecord field {name!r}")
 
 
 @dataclass
@@ -352,7 +430,7 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
-    steps: list
+    steps: StepLog
     epochs: list
     ledger: CostLedger
     worker_count: int
@@ -405,7 +483,7 @@ def run(config: RunConfig) -> RunReport:
                                  sampler.batches_per_pass)
 
     ledger = CostLedger()
-    step_records: list[StepRecord] = []
+    step_records = StepLog()
     epoch_records: list[EpochRecord] = []
     t = 0
     syncs = 0
@@ -439,9 +517,8 @@ def run(config: RunConfig) -> RunReport:
             if synced:
                 syncs += 1
                 workers.params[:] = common
-            step_records.append(StepRecord(
-                step=t, synced=synced, h_value=h_val, variance=variance,
-                train_loss=train_loss, bytes_cumulative=ledger.bytes_total))
+            step_records.append(synced, h_val, variance, train_loss,
+                                ledger.bytes_total)
             epoch_losses.append(train_loss)
 
         # Read through the oracle channel, never charged.

@@ -60,7 +60,10 @@ class Dataset:
             raise ValueError("features must be a non-empty (n, p) matrix")
         if len(self.labels) != len(self.features):
             raise ValueError("feature/label count mismatch")
-        if not np.isfinite(self.features).all():
+        # NaN propagates through min and max, so both are finite exactly
+        # when every entry is; unlike isfinite, they build no (n, p) array.
+        if self.features.size and not (np.isfinite(self.features.min())
+                                       and np.isfinite(self.features.max())):
             raise ValueError("non-finite feature values")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError("labels out of range for num_classes")

@@ -8,7 +8,14 @@ import pytest
 import yaml
 
 from dynavg import cli
-from dynavg.cluster_sim import BlobsSpec, NonIidLabel, run
+from dynavg.cluster_sim import (
+    BlobsSpec,
+    CostLedger,
+    NonIidLabel,
+    RunReport,
+    StepLog,
+    run,
+)
 from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
@@ -182,13 +189,16 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"model": {"kind": "logistic", "hiden": 4}},
     {"strategy": {"kind": "fedopt", "server": {"learning_rate": 0.1}}},
     {"model": {"kind": "logistic", "hidden": 128}},
+    {"output": {"metrics_csv": "out/both.log",
+                "events_jsonl": "out/./sub/../both.log"}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
         "server-lr-true", "metrics-csv-true", "theta-profile-int",
         "optimizer-learning-rate", "wokers", "linear-fda-sketch",
         "label-holder", "synchronous-theta-profile", "sketch-row",
-        "model-hiden", "server-learning-rate", "logistic-hidden"])
+        "model-hiden", "server-learning-rate", "logistic-hidden",
+        "one-file-both-outputs"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):
@@ -407,6 +417,33 @@ def test_run_experiment_audit_flag(tmp_path):
     code = cli.run_experiment(write_config(tmp_path, mapping),
                               audit_variance=True)
     assert code in (0, 1)
+
+
+def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):
+    # The writer formats lines from the log's columns; each must equal
+    # json.dumps of the record dict, whatever the H value.
+    h_values = [None, float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                0.1, 1e-300, 1e22, 123456789.125, None]
+    log = StepLog()
+    for i, h in enumerate(h_values):
+        log.append(i % 3 == 0, h, None, 0.5, 2 ** 40 + 8 * i)
+    report = RunReport(
+        steps=log, epochs=[], ledger=CostLedger(), worker_count=7,
+        model_dim=4, final_steps=len(log), final_epochs=0,
+        final_bytes=2 ** 40 + 8 * (len(log) - 1), sync_count=4,
+        reached_target=False, final_test_accuracy=0.0,
+        final_mean_params=np.zeros(4))
+    path = tmp_path / "events.jsonl"
+    cli.write_events_jsonl(report, str(path))
+    expected = "".join(
+        json.dumps({"step": i + 1, "worker_count": 7, "H": h,
+                    "synced": i % 3 == 0,
+                    "bytes_cumulative": 2 ** 40 + 8 * i}) + "\n"
+        for i, h in enumerate(h_values))
+    written = path.read_bytes()
+    assert written == expected.encode()
+    for spelling in (b"null", b"NaN", b" Infinity", b"-Infinity", b"-0.0"):
+        assert spelling in written
 
 
 # --- sweep ------------------------------------------------------------------

@@ -629,3 +629,71 @@ def test_idx_dataset_run(tmp_path):
     report = cs.run(cfg)
     assert report.model_dim == learner.param_count("logistic", 12, 3)
     assert report.final_steps == 2 * (60 // 8)
+
+
+# --- the step log -----------------------------------------------------------
+
+STEP_ROWS = [  # (synced, h_value, variance, train_loss, bytes_cumulative)
+    (False, None, None, 1.5, 8),
+    (True, float("nan"), -0.0, 0.25, 2 ** 40),
+    (False, float("inf"), None, 0.0, 2 ** 40 + 8),
+    (True, float("-inf"), float("nan"), -0.0, 2 ** 40 + 16),
+    (False, -0.0, float("inf"), 2.0, 2 ** 40 + 24),
+    (False, 0.125, float("-inf"), 1e-300, 2 ** 40 + 32),
+]
+
+
+def filled_step_log() -> cs.StepLog:
+    log = cs.StepLog()
+    for row in STEP_ROWS:
+        log.append(*row)
+    return log
+
+
+def test_step_log_round_trips_none_nan_inf_and_negative_zero():
+    # repr tells None, NaN, ±inf, 0.0 and -0.0 apart, where == cannot.
+    log = filled_step_log()
+    assert len(log) == len(STEP_ROWS)
+    for i, row in enumerate(STEP_ROWS):
+        record = log[i]
+        assert isinstance(record, cs.StepRecord)
+        assert repr(dataclasses.astuple(record)) == repr((i + 1, *row))
+        assert type(record.synced) is bool
+
+
+def test_step_log_indexes_like_a_list():
+    log = filled_step_log()
+    rows = [log[i] for i in range(len(log))]
+    assert repr(list(log)) == repr(rows)
+    assert repr(log[-1]) == repr(rows[-1])
+    assert repr(log[-len(log)]) == repr(rows[0])
+    for index in (slice(1, 4), slice(None, None, -2), slice(-3, None),
+                  slice(4, 1)):
+        assert repr(log[index]) == repr(rows[index])
+    for index in (len(log), -len(log) - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    for field in dataclasses.fields(cs.StepRecord):
+        assert repr(list(log.column(field.name))) == \
+            repr([getattr(r, field.name) for r in rows])
+    with pytest.raises(KeyError):
+        log.column("H")
+    assert len(cs.StepLog()) == 0 and list(cs.StepLog()) == []
+
+
+def test_step_log_of_a_long_blobs_run_retains_at_most_48_bytes_per_step():
+    # 2 workers, batches of 1: 2,000 steps per epoch.  The memory freed by
+    # dropping the log is what it held.
+    cfg = blobs_config(LinearFda(theta=0.5), workers=2, n=4000, p=4,
+                       batch=1, lr=0.01, max_epochs=4)
+    tracemalloc.start()
+    try:
+        report = cs.run(cfg)
+        steps = len(report.steps)
+        held = tracemalloc.get_traced_memory()[0]
+        report.steps = None
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert steps == report.final_steps == 8000
+    assert retained <= 48 * steps

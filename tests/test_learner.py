@@ -790,3 +790,26 @@ def test_make_blobs_invalid():
         learner.make_blobs(0, 2, 3, seed=0)
     with pytest.raises(ValueError):
         learner.make_blobs(10, 2, 1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_each_non_finite_feature(bad):
+    features = np.zeros((5, 3))
+    features[3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        learner.Dataset(features, np.zeros(5, dtype=np.int64), num_classes=2)
+
+
+def test_dataset_finiteness_check_builds_no_n_by_p_array():
+    # np.isfinite(features).all() would trace an (n, p) bool array.
+    n, p = 6000, 784
+    features = np.random.default_rng(4).standard_normal((n, p))
+    labels = np.zeros(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        learner.Dataset(features, labels, num_classes=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p
