@@ -2,9 +2,9 @@
 
 A run is described by one YAML (or JSON) file; see the README for the full
 schema.  `run` executes it and writes a per-epoch metrics CSV plus a
-per-step JSONL event log.  `sweep` executes every config in a directory and
-aggregates one row per run.  `theta` prints a threshold preset c * d for a
-deployment profile.
+per-step JSONL event log.  `sweep` executes every config in a directory,
+each writing its own reports as `run` does, and aggregates one row per
+run.  `theta` prints a threshold preset c * d for a deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
 still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 when
@@ -184,20 +184,27 @@ def write_events_jsonl(report: RunReport, path: str) -> None:
 
 # --- CLI operations ---------------------------------------------------------
 
+def run_and_write(config: RunConfig) -> RunReport:
+    """Run one config and write the reports that its `output` node names;
+    an unusable output path raises OSError before training."""
+    for path in (config.metrics_csv, config.events_jsonl):
+        if path:
+            _ensure_parent(path)
+    report = run(config)
+    if config.metrics_csv:
+        write_metrics_csv(report, config.metrics_csv)
+    if config.events_jsonl:
+        write_events_jsonl(report, config.events_jsonl)
+    return report
+
+
 def run_experiment(config_path: str, audit_variance: bool = False) -> int:
     """Run one config; write reports; return the run's exit code."""
     try:
         config = load_config(config_path)
         if audit_variance:
             config = replace(config, audit_variance=True)
-        for path in (config.metrics_csv, config.events_jsonl):
-            if path:  # an unusable output path fails before training
-                _ensure_parent(path)
-        report = run(config)
-        if config.metrics_csv:
-            write_metrics_csv(report, config.metrics_csv)
-        if config.events_jsonl:
-            write_events_jsonl(report, config.events_jsonl)
+        report = run_and_write(config)
     except RunDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
@@ -214,9 +221,11 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
 def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
     """Run every config in a directory; aggregate one row per run.
 
-    Invalid configs produce a row with status "failed" and the sweep
-    continues.  Rows are sorted by (strategy, theta, workers).  An
-    unusable `output_csv` raises OSError before the first run.
+    Each run writes the reports its own `output` node names, as `run`
+    does.  Invalid configs, and runs that diverge or cannot write their
+    reports, produce a row with status "failed" and the sweep continues.
+    Rows are sorted by (strategy, theta, workers).  An unusable
+    `output_csv` raises OSError before the first run.
     """
     if output_csv is not None:
         _ensure_parent(output_csv)
@@ -228,7 +237,7 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
         name = os.path.basename(path)
         try:
             config = load_config(path)
-            report = run(config)
+            report = run_and_write(config)
         except (RunDivergedError, ValueError, TypeError, OSError) as exc:
             print(f"{name}: failed ({exc})", file=sys.stderr)
             rows.append({"strategy": "", "theta": "", "workers": "",

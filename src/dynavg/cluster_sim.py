@@ -36,6 +36,7 @@ from .learner import (
     Model,
     OptimizerSpec,
     ShardSampler,
+    activation_count,
     apply_gradient,
     evaluate,
     idx_shape,
@@ -451,36 +452,45 @@ def run(config: RunConfig) -> RunReport:
 
     The K worker models are the rows of one (K, d) float64 matrix, held as
     the params of a single `Model`, with the optimizer slots shaped (K, d)
-    alike.  Per step, in lock-step: one `ShardSampler` call draws the
+    alike.  One flat float64 workspace of max(K*d, d + test activations)
+    entries is allocated once; its leading (K, d) view is the gradient
+    buffer.  Per step, in lock-step: one `ShardSampler` call draws the
     (K, b) batch, one row per worker; one `loss_and_grad` call computes
-    all K gradients into a preallocated (K, d) buffer; one `apply_gradient`
-    call updates the matrix in place; the exact variance is audited if
-    asked; and the strategy's step hook, called as hook(t, matrix, reduce,
-    grad) with the spent gradient buffer as its scratch, builds all K local
+    all K gradients into the gradient buffer; one `apply_gradient` call
+    updates the matrix in place; the exact variance is audited if asked;
+    and the strategy's step hook, called as hook(t, matrix, reduce, grad)
+    with the spent gradient buffer as its scratch, builds all K local
     states at once and decides what is exchanged.  The hook sends every
     payload through `allreduce_average`, which charges the ledger K times
     the per-worker payload, and may return a new common model, which is
-    copied into every row.  Test accuracy of the average model is
-    evaluated once per epoch; the run stops when it reaches the target or
-    after max_epochs.
+    copied into every row.  Once per epoch, with the gradient spent, the
+    workers' average model is written into the workspace's first d
+    entries and evaluated on the test set, each layer's activations going
+    into the entries after it; the run stops when test accuracy reaches
+    the target or after max_epochs.  The initial model is held only by the
+    strategy, for as long as it keeps it.
     """
     k = config.workers
     train, test = config.dataset.load(config.seed)
-    d = param_count(config.model_kind, train.p, train.num_classes, config.hidden)
+    layout = (config.model_kind, train.p, train.num_classes, config.hidden)
+    d = param_count(*layout)
 
     shards = partition(train, k, config.partition_scheme,
                        derive_seed(config.seed, _SEED_PARTITION))
-    # The workers' average model; every worker starts from its params.
-    mean_model = init_model(config.model_kind, train.p, train.num_classes,
-                            config.hidden, init_scheme=config.init_scheme,
-                            seed=derive_seed(config.seed, _SEED_INIT))
-    workers = Model(config.model_kind, train.p, train.num_classes,
-                    config.hidden, np.tile(mean_model.params, (k, 1)))
-    opt = config.optimizer.build((k, d))
-    grad = np.empty((k, d))
     sampler = ShardSampler(shards, config.batch_size, config.seed)
-    hook = config.strategy.start(d, mean_model.params,
-                                 sampler.batches_per_pass)
+    # The strategy holds the initial model as long as it needs it; every
+    # worker starts from a copy, one row of the workers' matrix.
+    workers = init_model(*layout, init_scheme=config.init_scheme,
+                         seed=derive_seed(config.seed, _SEED_INIT))
+    hook = config.strategy.start(d, workers.params, sampler.batches_per_pass)
+    workers.params = np.tile(workers.params, (k, 1))
+    opt = config.optimizer.build((k, d))
+    # The run's one workspace.  Its leading (K, d) view is the gradient
+    # buffer; at epoch end, with the gradient spent, it holds the workers'
+    # mean model and the test set's activations instead.
+    work = np.empty(max(k * d, d + activation_count(*layout, test.n)))
+    grad = work[:k * d].reshape(k, d)
+    mean_model = Model(*layout, work[:d])
 
     ledger = CostLedger()
     step_records = StepLog()
@@ -522,8 +532,8 @@ def run(config: RunConfig) -> RunReport:
             epoch_losses.append(train_loss)
 
         # Read through the oracle channel, never charged.
-        mean_model.params = average(workers.params)
-        _, test_accuracy = evaluate(mean_model, test)
+        average(workers.params, out=mean_model.params)
+        _, test_accuracy = evaluate(mean_model, test, work[d:])
         epoch_records.append(EpochRecord(
             epoch=epoch, test_accuracy=test_accuracy,
             train_loss=sum(epoch_losses) / len(epoch_losses),

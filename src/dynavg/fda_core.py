@@ -83,13 +83,21 @@ def variance_from_drifts(mean_drift_norm_sq: float,
 
 def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     """The state of one drift (d,), or of the rows of a (K, d) matrix: their
-    K squared norms and one sketch of their mean (rows added in ascending
-    order), standing for the mean of the K sketches that the workers send."""
+    K squared norms and one sketch of their mean, standing for the mean of
+    the K sketches that the workers send.
+
+    `u` serves as scratch: once the norms are taken, the mean drift is
+    accumulated into its first row, adding the rows in ascending order as
+    `ordered_sum` does, so no (d,) array is made.  A (d,) drift keeps its
+    values (it is divided by 1)."""
     u = np.atleast_2d(u)
     ensure(len(u) > 0, "local state of no workers")
-    mean = ordered_sum(u)
+    norms = norm_sq(u)
+    mean = u[0]
+    for i in range(1, len(u)):
+        mean += u[i]
     mean /= len(u)
-    return LocalState(drift_norm_sq=norm_sq(u), summary=sk.apply(t, mean).rows)
+    return LocalState(drift_norm_sq=norms, summary=sk.apply(t, mean).rows)
 
 
 def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:

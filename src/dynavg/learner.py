@@ -176,15 +176,26 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _forward(net: _Pass, x: np.ndarray) -> tuple[list, np.ndarray]:
+def _forward(net: _Pass, x: np.ndarray,
+             work: Optional[np.ndarray] = None) -> tuple[list, np.ndarray]:
     """Each layer's input, and log class probabilities of the last layer;
-    x is (n, p) for one model or (K, n, p) for K stacked ones."""
-    inputs, z = [], x
+    x is (n, p) for one model or (K, n, p) for K stacked ones.  With a flat
+    float64 `work`, each layer's output is written into its next slice
+    (see `activation_count`); else each is a new array."""
+    inputs, z, off = [], x, 0
     for w, b in net.layers:
         if inputs:  # the ReLU between consecutive layers
             np.maximum(z, 0.0, out=z)
         inputs.append(z)
-        z = np.matmul(z, w)
+        out = None
+        if work is not None:
+            shape = (*z.shape[:-1], w.shape[-1])
+            size = math.prod(shape)
+            ensure(off + size <= work.size, f"work of {work.size} entries "
+                   f"cannot hold the {shape} layer output")
+            out = work[off:off + size].reshape(shape)
+            off += size
+        z = np.matmul(z, w, out=out)
         z += b
     return inputs, _log_softmax(z)
 
@@ -225,12 +236,25 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset,
     return (float(loss) if loss.ndim == 0 else loss), out
 
 
-def evaluate(model: Model, data: Dataset) -> tuple[float, float]:
+def activation_count(kind: str, p: int, num_classes: int, hidden: int,
+                     n: int) -> int:
+    """Entries of every layer's output over n samples: the size of the
+    `work` that `evaluate` needs for a dataset of n samples."""
+    return n * sum(fan_out for _, fan_out
+                   in _layer_shapes(kind, p, num_classes, hidden))
+
+
+def evaluate(model: Model, data: Dataset,
+             work: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over the whole dataset.
 
-    Argmax ties break to the lowest class index.
+    Each layer's output over the dataset goes into the next slice of the
+    flat float64 `work` when given (`activation_count` entries; it must
+    not overlap the params), so the call makes no array of the
+    activations' size; without it each is a new array.  Argmax ties break
+    to the lowest class index.
     """
-    _, logp = _forward(_Pass(model), data.features)
+    _, logp = _forward(_Pass(model), data.features, work)
     loss = -float(logp[np.arange(data.n), data.labels].mean())
     accuracy = float((logp.argmax(axis=1) == data.labels).mean())
     return loss, accuracy
@@ -250,8 +274,18 @@ class OptimizerSpec:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        ensure(self.kind in OPTIMIZER_KINDS,
+               f"unknown optimizer kind {self.kind!r}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            ensure(math.isfinite(value) and value >= 0,
+                   f"optimizer {name} must be finite and >= 0, not {value}")
+        for name in ("momentum", "beta1", "beta2"):
+            value = getattr(self, name)
+            ensure(0 <= value < 1,
+                   f"optimizer {name} must be in [0, 1), not {value}")
+        ensure(math.isfinite(self.eps) and self.eps > 0,
+               f"optimizer eps must be finite and > 0, not {self.eps}")
 
     @classmethod
     def from_node(cls, node: dict) -> OptimizerSpec:

@@ -9,6 +9,8 @@ fixed order so that repeated runs with the same seed are bit-identical.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 ParamVector = np.ndarray
@@ -34,8 +36,10 @@ def norm_sq(v: np.ndarray):
     return dot(v, v)
 
 
-def ordered_sum(m: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, adding the K slices in ascending order.
+def ordered_sum(m: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over the leading axis, adding the K slices in ascending order,
+    into `out` when given (it must not overlap `m`).
 
     np.sum reduces the outer axis of a C-contiguous array slice by slice,
     but when each slice holds one entry the reduced axis becomes the inner
@@ -43,16 +47,23 @@ def ordered_sum(m: np.ndarray) -> np.ndarray:
     sequential for every shape.
     """
     m = np.ascontiguousarray(m)
-    return m.sum(axis=0) if m[0].size > 1 else np.cumsum(m, axis=0)[-1]
+    if m[0].size > 1:
+        return m.sum(axis=0, out=out)
+    total = np.cumsum(m, axis=0)[-1]
+    if out is None:
+        return total
+    out[...] = total
+    return out
 
 
-def average(vs) -> ParamVector:
+def average(vs, out: Optional[np.ndarray] = None) -> ParamVector:
     """Elementwise mean of K vectors, given as a list or as the rows of a
-    (K, d) matrix, accumulated in ascending order and divided in place."""
+    (K, d) matrix, accumulated in ascending order and divided in place,
+    into `out` (d,) when given."""
     m = np.asarray(vs, dtype=np.float64)
     if m.ndim != 2 or len(m) == 0:
         raise ValueError(f"average needs K >= 1 vectors of one length, "
                          f"got shape {m.shape}")
-    mean = ordered_sum(m)
+    mean = ordered_sum(m, out=out)
     mean /= len(m)
     return mean

@@ -191,6 +191,25 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     {"model": {"kind": "logistic", "hidden": 128}},
     {"output": {"metrics_csv": "out/both.log",
                 "events_jsonl": "out/./sub/../both.log"}},
+    {"optimizer": {"kind": "sgd", "lr": -0.1}},
+    {"optimizer": {"kind": "sgd", "lr": float("nan")}},
+    {"optimizer": {"kind": "sgd", "lr": float("inf")}},
+    {"optimizer": {"kind": "sgd-momentum", "lr": 0.05, "momentum": -3}},
+    {"optimizer": {"kind": "sgd-momentum", "lr": 0.05, "momentum": 1.0}},
+    {"optimizer": {"kind": "adam", "lr": 0.05, "beta1": 1.0}},
+    {"optimizer": {"kind": "adam", "lr": 0.05, "beta1": -0.1}},
+    {"optimizer": {"kind": "adam", "lr": 0.05, "beta2": 1.5}},
+    {"optimizer": {"kind": "adam", "lr": 0.05, "eps": 0.0}},
+    {"optimizer": {"kind": "adam", "lr": 0.05, "eps": float("nan")}},
+    {"optimizer": {"kind": "adamw", "lr": 0.05, "weight_decay": -0.1}},
+    {"optimizer": {"kind": "adamw", "lr": 0.05,
+                   "weight_decay": float("inf")}},
+    {"strategy": {"kind": "fedopt", "server": {"lr": -1.0}}},
+    {"strategy": {"kind": "fedopt", "server": {"momentum": 1.0}}},
+    {"strategy": {"kind": "fedopt", "server": {"kind": "adam",
+                                               "beta1": 1.0}}},
+    {"strategy": {"kind": "fedopt", "server": {"kind": "adam",
+                                               "eps": -1e-7}}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -198,7 +217,11 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
         "optimizer-learning-rate", "wokers", "linear-fda-sketch",
         "label-holder", "synchronous-theta-profile", "sketch-row",
         "model-hiden", "server-learning-rate", "logistic-hidden",
-        "one-file-both-outputs"])
+        "one-file-both-outputs", "lr-negative", "lr-nan", "lr-inf",
+        "momentum-negative", "momentum-1", "beta1-1", "beta1-negative",
+        "beta2-1.5", "eps-0", "eps-nan", "weight-decay-negative",
+        "weight-decay-inf", "server-lr-negative", "server-momentum-1",
+        "server-beta1-1", "server-eps-negative"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):
@@ -496,6 +519,32 @@ def test_sweep_unusable_out_is_a_config_error_before_any_run(
         assert cli.main(["sweep", str(configs), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_sweep_writes_each_configs_outputs_as_run_does(tmp_path):
+    def outputs(name):
+        return {"metrics_csv": str(tmp_path / name / "metrics.csv"),
+                "events_jsonl": str(tmp_path / name / "events.jsonl")}
+
+    strategy = {"kind": "linear-fda", "theta": 0.05}
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write_config(configs, base_mapping(strategy=strategy,
+                                       output=outputs("swept")))
+    # A report path under a file fails that run's row, not the sweep.
+    (tmp_path / "blocker").write_text("")
+    write_config(configs, base_mapping(output={
+        "metrics_csv": str(tmp_path / "blocker" / "m.csv")}),
+        name="unwritable.yaml")
+    rows = cli.sweep(str(configs))
+    assert {r["config"]: r["status"] for r in rows} == {
+        "run.yaml": "ok", "unwritable.yaml": "failed"}
+    single = write_config(tmp_path, base_mapping(strategy=strategy,
+                                                 output=outputs("single")))
+    assert cli.main(["run", single]) == 1
+    for name in ("metrics.csv", "events.jsonl"):
+        swept = (tmp_path / "swept" / name).read_bytes()
+        assert swept and swept == (tmp_path / "single" / name).read_bytes()
 
 
 def test_sweep_grid_sorted_and_synchronous_dominates(tmp_path):

@@ -555,17 +555,19 @@ def test_mlp_run_works():
     assert report.final_steps > 0
 
 
-@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
-def test_sketch_mlp_run_holds_models_gradient_and_transform(audit):
-    # p=784, h=128: d = 101,770.  Beyond the data, a run holds the K
-    # models and the gradient buffer, the transform's uint16 bins, and at
-    # most six (d,) float64 or intp vectors: the transform's widened row,
-    # the mean model, the sync point and the mean drift among them.
+def sketch_mlp_run_over_data(audit: bool, test_n: int) -> float:
+    """The traced peak of a sketch-fda MLP run (p=784, h=128: d = 101,770),
+    in (d,) float64 vectors, over its data and the three arrays every such
+    run holds throughout: the K models, the run's workspace (here K*d
+    entries, the size of the gradient buffer) and the transform's uint16
+    bins."""
     k, rows = 5, 5
     cfg = blobs_config(SketchFda(theta=1.0, rows=rows, cols=250, seed=2),
                        workers=k, n=400, p=784, classes=10, lr=0.3,
                        max_epochs=2, audit=audit)
-    cfg = dataclasses.replace(cfg, model_kind="mlp", hidden=128)
+    cfg = dataclasses.replace(
+        cfg, model_kind="mlp", hidden=128,
+        dataset=dataclasses.replace(cfg.dataset, test_n=test_n))
     tracemalloc.start()
     try:
         report = cs.run(cfg)
@@ -576,8 +578,23 @@ def test_sketch_mlp_run_holds_models_gradient_and_transform(audit):
     assert report.sync_count > 0 and d == 101_770
     data = sum(x.features.nbytes + x.labels.nbytes
                for x in cfg.dataset.load(cfg.seed))
-    budget = 2 * k * d * 8 + rows * d * 2 + 6 * d * 8
-    assert peak - data < budget
+    return (peak - data - 2 * k * d * 8 - rows * d * 2) / (8 * d)
+
+
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_sketch_mlp_run_holds_models_gradient_and_transform(audit):
+    # Beyond the data, the models, the workspace and the bins, a run holds
+    # at most four (d,) float64 or intp vectors: the transform's widened
+    # row, the sync point, and either a sync's new mean or one step's
+    # gathered (K, b, p) batch.  The audit centres into the workspace.
+    assert sketch_mlp_run_over_data(audit, test_n=300) < 4
+
+
+def test_sketch_mlp_run_memory_does_not_grow_with_test_n():
+    # The test set's (2000, 128) and (2000, 10) activations (2.7 d floats)
+    # and the mean model go into the workspace, which the gradient buffer
+    # already sizes at K*d: the run keeps the budget of a test set of 300.
+    assert sketch_mlp_run_over_data(audit=False, test_n=2000) < 4
 
 
 def idx_spec(tmp_path, test_classes=3) -> cs.IdxSpec:

@@ -28,6 +28,7 @@ CASES = {
     "linear-fda-uneven-k5": [],
     "sketch-fda-audit-k3": ["--audit-variance"],
     "sketch-fda-k3": [],  # a 3x4 sketch: the mean of (l, m) rows, m > 1
+    "sketch-fda-mlp-k3": [],  # the same sketch on a hidden-layer model
     "fedopt-adam-k9": [],
     "local-sgd-adam-k9": [],
 }

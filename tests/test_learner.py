@@ -128,6 +128,9 @@ def test_dense_pass_matches_reference(kind, p, classes, hidden, scheme):
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
             assert learner.evaluate(m, data) == ref_evaluate(m, data)
+            work = np.full(learner.activation_count(kind, p, classes, hidden,
+                                                    data.n), np.nan)
+            assert learner.evaluate(m, data, work) == ref_evaluate(m, data)
 
 
 @pytest.mark.parametrize("kind,p,classes,hidden",
@@ -559,6 +562,27 @@ def test_evaluate_single_sample():
     model = learner.init_model("logistic", 2, 3, seed=23)
     _, acc = learner.evaluate(model, data)
     assert acc in (0.0, 1.0)
+
+
+def test_evaluate_into_work_makes_no_activation_sized_array():
+    # Each layer's output over the test set goes into the caller's work:
+    # the call allocates less than one (n, hidden) float64 array.
+    n, p, classes, hidden = 2000, 40, 10, 128
+    data = learner.make_blobs(n, p, classes, seed=26)
+    model = learner.init_model("mlp", p, classes, hidden, seed=27)
+    size = learner.activation_count("mlp", p, classes, hidden, n)
+    assert size == n * (hidden + classes)
+    work = np.full(size + 5, np.nan)  # a larger work is fine
+    tracemalloc.start()
+    try:
+        got = learner.evaluate(model, data, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * hidden * 8
+    assert got == learner.evaluate(model, data)
+    with pytest.raises(ValueError, match="work"):
+        learner.evaluate(model, data, work[:size - 1])
 
 
 def test_argmax_ties_break_to_lowest_class():

@@ -130,3 +130,21 @@ def test_average_makes_one_d_sized_array():
         tracemalloc.stop()
     assert peak < 1.1 * 8 * d
     assert mean.tobytes() == (vecmath.ordered_sum(m) / k).tobytes()
+
+
+@pytest.mark.parametrize("k,d", [(3, 1), (9, 1), (5, 100_000)])
+def test_average_into_out_matches_and_makes_no_d_sized_array(k, d):
+    # The mean goes into the caller's (d,) array with the same ascending
+    # row order: bit-equal to a new mean, and no (d,) array is made.
+    m = np.random.default_rng(9).standard_normal((k, d))
+    out = np.full(d, np.nan)
+    tracemalloc.start()
+    try:
+        got = vecmath.average(m, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out
+    assert out.tobytes() == vecmath.average(m).tobytes()
+    if d > 1:
+        assert peak < 0.1 * 8 * d
