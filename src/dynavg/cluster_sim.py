@@ -48,7 +48,7 @@ from .learner import (
     read_idx,
 )
 from .schema import ensure, read, write
-from .vecmath import ParamVector, average
+from .vecmath import ParamVector, average, ordered_mean
 
 WIRE_BYTES_PER_ENTRY = 4
 
@@ -510,7 +510,7 @@ def run(config: RunConfig) -> RunReport:
             losses, _ = loss_and_grad(workers, sampler.next_batch(), train,
                                       out=grad)
             apply_gradient(opt, workers.params, grad)
-            train_loss = sum(losses.tolist()) / k
+            train_loss = ordered_mean(losses)
             if not math.isfinite(train_loss):
                 raise RunDivergedError(
                     f"non-finite training loss at step {t}")
@@ -536,7 +536,7 @@ def run(config: RunConfig) -> RunReport:
         _, test_accuracy = evaluate(mean_model, test, work[d:])
         epoch_records.append(EpochRecord(
             epoch=epoch, test_accuracy=test_accuracy,
-            train_loss=sum(epoch_losses) / len(epoch_losses),
+            train_loss=ordered_mean(epoch_losses),
             bytes_total=ledger.bytes_total, bytes_state=ledger.bytes_state,
             bytes_sync=ledger.bytes_sync, steps=t, syncs=syncs))
         if test_accuracy >= config.accuracy_target:

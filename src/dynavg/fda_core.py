@@ -24,7 +24,8 @@ import numpy as np
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
 from .schema import child, ensure, read, write
-from .vecmath import ParamVector, average, dot, norm_sq, ordered_sum
+from .vecmath import (ParamVector, average, dot, norm_sq, ordered_mean,
+                      ordered_sum)
 
 Drift = ParamVector
 
@@ -72,7 +73,7 @@ def variance_exact(models, out: Optional[np.ndarray] = None) -> float:
     if len(models) == 0:
         raise ValueError("variance of an empty list")
     centred = np.subtract(models, average(models), out=out)
-    return float(ordered_sum(norm_sq(centred))) / len(models)
+    return ordered_mean(norm_sq(centred))
 
 
 def variance_from_drifts(mean_drift_norm_sq: float,
@@ -87,15 +88,12 @@ def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     the K sketches that the workers send.
 
     `u` serves as scratch: once the norms are taken, the mean drift is
-    accumulated into its first row, adding the rows in ascending order as
-    `ordered_sum` does, so no (d,) array is made.  A (d,) drift keeps its
-    values (it is divided by 1)."""
+    summed into its first row, so no (d,) array is made.  A (d,) drift
+    keeps its values (it is divided by 1)."""
     u = np.atleast_2d(u)
     ensure(len(u) > 0, "local state of no workers")
     norms = norm_sq(u)
-    mean = u[0]
-    for i in range(1, len(u)):
-        mean += u[i]
+    mean = ordered_sum(u, out=u[0])
     mean /= len(u)
     return LocalState(drift_norm_sq=norms, summary=sk.apply(t, mean).rows)
 
@@ -105,7 +103,7 @@ def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
     K squared norms and their mean projection on xi (0.0 without xi)."""
     u = np.atleast_2d(u)
     ensure(len(u) > 0, "local state of no workers")
-    mean = 0.0 if xi is None else sum(dot(u, xi).tolist()) / len(u)
+    mean = 0.0 if xi is None else ordered_mean(dot(u, xi))
     return LocalState(drift_norm_sq=norm_sq(u), summary=np.array(mean))
 
 
@@ -121,11 +119,10 @@ def average_states(states) -> AveragedState:
             drift_norm_sq=np.concatenate([s.drift_norm_sq for s in states]),
             summary=ordered_sum(np.stack([s.summary for s in states]))
             / len(states))
-    k = states.workers
-    ensure(k > 0, "average of no states")
-    mean_norm = sum(states.drift_norm_sq.tolist()) / k
-    return AveragedState(mean_drift_norm_sq=mean_norm,
-                         mean_summary=states.summary)
+    ensure(states.workers > 0, "average of no states")
+    return AveragedState(
+        mean_drift_norm_sq=ordered_mean(states.drift_norm_sq),
+        mean_summary=states.summary)
 
 
 def h_sketch(avg: AveragedState, eps: float) -> float:

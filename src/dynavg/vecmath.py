@@ -3,8 +3,9 @@
 A parameter vector is a 1-D float64 numpy array of fixed length d.  The same
 representation carries model parameters, drifts, and gradients; K of them
 stack as the rows of a (K, d) matrix, and `dot`, `norm_sq` and `average`
-take either form with the same per-row rounding.  All reductions run in a
-fixed order so that repeated runs with the same seed are bit-identical.
+take either form with the same per-row rounding.  Every sum over the K
+workers goes through `ordered_sum` or `ordered_mean`, in ascending order,
+so that runs with the same seed are bit-identical on any interpreter.
 """
 
 from __future__ import annotations
@@ -36,24 +37,25 @@ def norm_sq(v: np.ndarray):
     return dot(v, v)
 
 
-def ordered_sum(m: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sum over the leading axis, adding the K slices in ascending order,
-    into `out` when given (it must not overlap `m`).
-
-    np.sum reduces the outer axis of a C-contiguous array slice by slice,
-    but when each slice holds one entry the reduced axis becomes the inner
-    one, which numpy sums pairwise for K >= 8; an accumulation is
-    sequential for every shape.
-    """
-    m = np.ascontiguousarray(m)
-    if m[0].size > 1:
-        return m.sum(axis=0, out=out)
-    total = np.cumsum(m, axis=0)[-1]
+def ordered_sum(m, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over the leading axis, adding the K slices in ascending order
+    (np.sum pairs up one-entry slices for K >= 8), into `out` when given;
+    `out` may be `m[0]` (no copy is made) but must not overlap `m[1:]`."""
     if out is None:
-        return total
-    out[...] = total
+        out = np.empty_like(m[0])
+    out[...] = m[0]
+    for row in m[1:]:
+        out += row
     return out
+
+
+def ordered_mean(xs) -> float:
+    """Mean of K numbers (an array or a list), added left to right as
+    Python floats; builtin `sum` compensates float sums from Python 3.12."""
+    total = 0.0
+    for x in np.asarray(xs).tolist():
+        total += x
+    return total / len(xs)
 
 
 def average(vs, out: Optional[np.ndarray] = None) -> ParamVector:

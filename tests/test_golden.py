@@ -4,13 +4,16 @@ Each `golden/<name>.yaml` config is run through the CLI and its metrics CSV
 and events JSONL must equal `golden/<name>.metrics.csv` and
 `golden/<name>.events.jsonl` exactly.  This pins the report schemas and
 every number in them, so a refactor that changes the arithmetic or the
-reduction order shows up here.
+reduction order shows up here.  The cases run again under CPython 3.12's
+compensated float `sum`, so the bytes cannot depend on the interpreter.
 
 Regenerate (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import builtins
+import math
 import tempfile
 from pathlib import Path
 
@@ -53,6 +56,45 @@ def test_outputs_match_golden(tmp_path, name):
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.metrics.csv").read_bytes()
     assert jsonl_path.read_bytes() == \
         (GOLDEN / f"{name}.events.jsonl").read_bytes()
+
+
+def sum_py312(iterable, /, start=0):
+    """Builtin `sum` as CPython 3.12 computes it: once the running total is
+    a float, Neumaier-compensated additions, with the compensation added at
+    the end when it is nonzero and finite.  Int sums are unchanged."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total = total + x
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    compensation = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_sum_py312_compensates_floats_only():
+    assert sum_py312([1e16, 1.0, -1e16]) == 1.0  # 0.0 before Python 3.12
+    assert sum_py312([0.1] * 10) == 1.0
+    assert sum_py312([1, 2, 3]) == 6 and sum_py312([], 5) == 5
+    assert sum_py312([float("inf"), 1.0]) == float("inf")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_do_not_depend_on_builtin_float_sum(tmp_path, monkeypatch,
+                                                    name):
+    monkeypatch.setattr(builtins, "sum", sum_py312)
+    test_outputs_match_golden(tmp_path, name)
 
 
 def regenerate() -> None:

@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -96,17 +98,37 @@ def test_average_offset_invariance():
     np.testing.assert_allclose(shifted, base, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("k,d", [(3, 50), (9, 50), (9, 1), (33, 2)])
+@pytest.mark.parametrize("k,d", [(3, 50), (9, 50), (9, 1), (9, None),
+                                 (33, 2), (5, 100_000)])
 def test_average_matrix_matches_ascending_loop(k, d):
-    # The (K, d) form adds rows strictly in ascending order, like the loop;
-    # np.sum would pair up a single column's 9 entries.
-    m = np.random.default_rng(k + d).standard_normal((k, d))
+    # Every entry adds the K slices strictly in ascending order, like the
+    # loop; np.sum would pair up a single column's 9 entries.  d=None sums
+    # K numbers.
+    m = np.random.default_rng(k + (d or 0)).standard_normal(
+        (k,) if d is None else (k, d))
     acc = m[0].copy()
     for row in m[1:]:
         acc += row
-    acc /= k
-    assert np.array_equal(vecmath.average(m), acc)
-    assert np.array_equal(vecmath.average(list(m)), acc)
+    assert np.array_equal(vecmath.ordered_sum(m), acc)
+    if d is not None:
+        # Summed into its own first row, the matrix needs no new array.
+        scratch = m.copy()
+        tracemalloc.start()
+        try:
+            got = vecmath.ordered_sum(scratch, out=scratch[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.base is scratch and np.array_equal(got, acc)
+        if d >= 100_000:
+            assert peak < 0.01 * 8 * d
+        assert np.array_equal(vecmath.average(m), acc / k)
+        assert np.array_equal(vecmath.average(list(m)), acc / k)
+    # K numbers add left to right as Python floats, from an array or a list.
+    column = m.reshape(k, -1)[:, 0]
+    left_to_right = functools.reduce(operator.add, column.tolist()) / k
+    assert vecmath.ordered_mean(column) == left_to_right
+    assert vecmath.ordered_mean(column.tolist()) == left_to_right
 
 
 def test_dot_and_norm_sq_rows_match_np_dot():
