@@ -1,14 +1,17 @@
 """Experiment front end: config files, runs, sweeps, threshold presets.
 
 A run is described by one YAML (or JSON) file; see the README for the full
-schema.  `run` executes it and writes a per-epoch metrics CSV plus a
+schema.  `RunConfig.from_node` reads it (`schema.Node`), and `parse_config`
+then resolves the strategy's theta, whose `theta_profile` needs the model
+dimension.  `run` executes it and writes a per-epoch metrics CSV plus a
 per-step JSONL event log.  `sweep` executes every config in a directory,
 each writing its own reports as `run` does, and aggregates one row per
 run.  `theta` prints a threshold preset c * d for a deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
-still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 when
-its `--out` path is unusable, before any run.
+still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 before
+any run when its config directory is not a directory or its `--out` path
+is unusable.  `theta` exits 0, or 2 for a dimension below 1.
 """
 
 from __future__ import annotations
@@ -23,20 +26,11 @@ from typing import Optional
 
 import yaml
 
-from .cluster_sim import (
-    DATASETS,
-    PARTITIONS,
-    EpochRecord,
-    Iid,
-    OptimizerSpec,
-    RunConfig,
-    RunDivergedError,
-    RunReport,
-    run,
-)
-from .fda_core import STRATEGIES, Synchronous
+from .cluster_sim import (EpochRecord, RunConfig, RunDivergedError, RunReport,
+                          run)
+from .fda_core import SyncStrategy, Synchronous
 from .learner import param_count
-from .schema import child, read, to_float, to_str, write
+from .schema import child, to_float, to_str
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -65,23 +59,6 @@ def theta_preset(profile: str, d: int) -> float:
 
 # --- config parsing ---------------------------------------------------------
 
-# RunConfig fields kept under another key than their own name.
-RUN_KEYS = {"model_kind": "model.kind", "hidden": "model.hidden",
-            "init_scheme": "model.init", "partition_scheme": "partition",
-            "metrics_csv": "output.metrics_csv",
-            "events_jsonl": "output.events_jsonl"}
-
-
-def _spec_class(table: dict, node: dict, key: str, what: str, default=None):
-    """The class that `node[key]` names in `table`."""
-    name = node.get(key, default)
-    if name is None:
-        raise ConfigError(f"missing {what} field {key!r}")
-    if name not in table:
-        raise ConfigError(f"unknown {what} {key} {name!r}")
-    return table[name]
-
-
 def _theta(node: dict, config: RunConfig) -> float:
     """A strategy node's theta, or its theta_profile preset at the
     config's model dimension."""
@@ -104,20 +81,11 @@ def parse_config(mapping: dict) -> RunConfig:
     if not isinstance(mapping, dict):
         raise ConfigError("config root must be a mapping")
     try:
-        data, part = child(mapping, "dataset"), child(mapping, "partition")
+        # The strategy is replaced once theta can resolve.
+        config = RunConfig.from_node(mapping, strategy=Synchronous())
         node = child(mapping, "strategy")
-        strategy = _spec_class(STRATEGIES, node, "kind", "strategy")
-        config = read(
-            RunConfig, mapping, RUN_KEYS,
-            dataset=_spec_class(DATASETS, data, "kind", "dataset")
-            .from_node(data),
-            strategy=Synchronous(),  # replaced once theta can resolve
-            optimizer=OptimizerSpec.from_node(child(mapping, "optimizer")),
-            partition_scheme=_spec_class(PARTITIONS, part, "scheme",
-                                         "partition", Iid.scheme)
-            .from_node(part))
-        return replace(config, strategy=strategy.from_node(
-            node, lambda: _theta(node, config)))
+        return replace(config, strategy=SyncStrategy.pick(
+            node, theta=lambda: _theta(node, config)))
     except ConfigError:
         raise
     except (TypeError, ValueError, OSError) as exc:
@@ -131,11 +99,6 @@ def load_config(path: str) -> RunConfig:
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(mapping)
-
-
-def config_to_mapping(config: RunConfig) -> dict:
-    """Serialize a RunConfig so that parse_config round-trips it."""
-    return write(config, RUN_KEYS)
 
 
 # --- report writing ---------------------------------------------------------
@@ -224,9 +187,13 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
     Each run writes the reports its own `output` node names, as `run`
     does.  Invalid configs, and runs that diverge or cannot write their
     reports, produce a row with status "failed" and the sweep continues.
-    Rows are sorted by (strategy, theta, workers).  An unusable
-    `output_csv` raises OSError before the first run.
+    Rows are sorted by (strategy, theta, workers).  A `config_dir` that is
+    not a directory, or an unusable `output_csv`, raises OSError before the
+    first run.
     """
+    if not os.path.isdir(config_dir):
+        raise NotADirectoryError(f"config directory {config_dir} is not a "
+                                 f"directory")
     if output_csv is not None:
         _ensure_parent(output_csv)
     paths = sorted(
@@ -245,7 +212,7 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
                          "status": "failed", "config": name})
             continue
         theta = getattr(config.strategy, "theta", "")
-        rows.append({"strategy": config.strategy.label,
+        rows.append({"strategy": config.strategy.kind,
                      "theta": theta, "workers": config.workers,
                      "reached_target": report.reached_target,
                      "steps": report.final_steps,
@@ -292,20 +259,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_experiment(args.config, audit_variance=args.audit_variance)
-    if args.command == "sweep":
-        try:
-            rows = sweep(args.config_dir, args.out)
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        for row in rows:
-            print(f"{row['config']}: status={row['status']} "
-                  f"strategy={row['strategy']} bytes={row['bytes']}")
-        return 0
-    if args.command == "theta":
-        print(theta_preset(args.profile, args.dim))
-        return 0
-    return 2
+    try:
+        if args.command == "theta":
+            print(theta_preset(args.profile, args.dim))
+            return 0
+        rows = sweep(args.config_dir, args.out)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    for row in rows:
+        print(f"{row['config']}: status={row['status']} "
+              f"strategy={row['strategy']} bytes={row['bytes']}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import os
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .learner import (
     param_count,
     read_idx,
 )
-from .schema import ensure, read, write
+from .schema import Node, ensure
 from .vecmath import ParamVector, average, ordered_mean
 
 WIRE_BYTES_PER_ENTRY = 4
@@ -70,18 +70,13 @@ def derive_seed(run_seed: int, *tags: int) -> int:
 
 # --- data partitioning ------------------------------------------------------
 
-class PartitionScheme:
+class PartitionScheme(Node):
     """A frozen partition config: it validates itself, maps to and from its
-    YAML `partition` node (`scheme` names it) and splits the data."""
+    YAML `partition` node (`scheme` names it, `iid` when absent) and splits
+    the data."""
 
-    scheme: ClassVar[str]
-
-    @classmethod
-    def from_node(cls, node: dict):
-        return read(cls, node, extra=("scheme",))
-
-    def to_node(self) -> dict:
-        return {"scheme": self.scheme, **write(self)}
+    tag = "scheme"
+    scheme: ClassVar[str] = "iid"
 
     def check(self, workers: int, classes: Optional[int]) -> None:
         """Reject a scheme that the run's workers or its dataset's class
@@ -158,9 +153,6 @@ class NonIidLabel(PartitionScheme):
                        targets)
 
 
-PARTITIONS = {s.scheme: s for s in (Iid, NonIidFraction, NonIidLabel)}
-
-
 def _target_sizes(n: int, k: int) -> list[int]:
     base, rem = divmod(n, k)
     return [base + 1 if i < rem else base for i in range(k)]
@@ -215,8 +207,16 @@ def allreduce_average(payload, ledger: CostLedger, category: str):
 
 # --- run configuration ------------------------------------------------------
 
+class DatasetSpec(Node):
+    """A frozen dataset config, named by its `kind`: `shape()` gives the
+    run's (p, C) and `load(run_seed)` the (train, test) splits."""
+
+    tag = "kind"
+    kind: ClassVar[str]
+
+
 @dataclass(frozen=True)
-class BlobsSpec:
+class BlobsSpec(DatasetSpec):
     """Gaussian blobs (`learner.make_blobs`): n training and test_n test
     samples of p features in num_classes classes."""
 
@@ -227,13 +227,6 @@ class BlobsSpec:
     seed: Optional[int] = None  # derived from the run seed when omitted
     kind: ClassVar[str] = "blobs"
     node_keys: ClassVar[dict] = {"num_classes": "classes"}
-
-    @classmethod
-    def from_node(cls, node: dict) -> BlobsSpec:
-        return read(cls, node, cls.node_keys, ("kind",))
-
-    def to_node(self) -> dict:
-        return {"kind": self.kind, **write(self, self.node_keys)}
 
     def shape(self) -> tuple[int, int]:
         """(p, C): feature dimension and class count."""
@@ -251,7 +244,7 @@ class BlobsSpec:
 
 
 @dataclass(frozen=True)
-class IdxSpec:
+class IdxSpec(DatasetSpec):
     """IDX image/label files, optionally gzipped.  Both splits share one
     class count: one more than the largest label of either."""
 
@@ -262,15 +255,9 @@ class IdxSpec:
     kind: ClassVar[str] = "idx"
     num_classes: ClassVar[Optional[int]] = None  # known once labels are read
 
-    @classmethod
-    def from_node(cls, node: dict) -> IdxSpec:
-        spec = read(cls, node, extra=("kind",))
-        for path in astuple(spec):
+    def __post_init__(self) -> None:
+        for path in astuple(self):
             ensure(os.path.exists(path), f"dataset file not found: {path}")
-        return spec
-
-    def to_node(self) -> dict:
-        return {"kind": self.kind, **write(self)}
 
     def shape(self) -> tuple[int, int]:
         """(p, C), from the image header and the label files."""
@@ -288,12 +275,8 @@ class IdxSpec:
         return train, test
 
 
-DatasetSpec = Union[BlobsSpec, IdxSpec]
-DATASETS = {s.kind: s for s in (BlobsSpec, IdxSpec)}
-
-
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Node):
     """One run; frozen, so it validates itself whenever it is built
     (`dataclasses.replace` included)."""
 
@@ -312,10 +295,17 @@ class RunConfig:
     audit_variance: bool = False
     metrics_csv: Optional[str] = None
     events_jsonl: Optional[str] = None
+    node_keys: ClassVar[dict] = {
+        "model_kind": "model.kind", "hidden": "model.hidden",
+        "init_scheme": "model.init", "partition_scheme": "partition",
+        "metrics_csv": "output.metrics_csv",
+        "events_jsonl": "output.events_jsonl"}
 
     def __post_init__(self) -> None:
         for name in ("workers", "batch_size", "max_epochs"):
             ensure(getattr(self, name) >= 1, f"{name} must be >= 1")
+        ensure(0 <= self.accuracy_target <= 1,
+               f"accuracy_target {self.accuracy_target} not in [0, 1]")
         ensure(self.model_kind in MODEL_KINDS,
                f"unknown model kind {self.model_kind!r}")
         hidden_layers = MODEL_KINDS[self.model_kind]

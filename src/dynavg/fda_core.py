@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
-from .schema import child, ensure, read, write
+from .schema import Node, child, ensure
 from .vecmath import (ParamVector, average, dot, norm_sq, ordered_mean,
                       ordered_sum)
 
@@ -194,26 +194,25 @@ def _variance_monitor(theta, w_sync, make_state, h_of,
     return hook
 
 
-class SyncStrategy:
+class SyncStrategy(Node):
     """A synchronization policy: a frozen config that validates itself,
-    maps to and from its YAML `strategy` node (`kind` is the `label`) and
+    maps to and from its YAML `strategy` node (`kind` names it) and
     builds a fresh step hook, holding the run's monitor state, per run.
     A zero threshold degenerates to the every-step hook: monitoring a
     foregone decision would only add cost."""
 
-    label: ClassVar[str]
-    node_keys: ClassVar[dict] = {}  # field -> "child.key" (schema.read)
+    tag = "kind"
+    kind: ClassVar[str]
 
     @classmethod
-    def from_node(cls, node: dict, theta: Callable[[], float], **given):
-        """Build from a strategy node; theta() resolves a `theta` field."""
-        extra = ("kind",)
+    def from_node(cls, node: dict, theta: Optional[Callable[[], float]] = None,
+                  **given):
+        """Build from a strategy node; theta() resolves a `theta` field,
+        which its `theta` or `theta_profile` key gives."""
         if "theta" in cls.__dataclass_fields__:
-            given["theta"], extra = theta(), ("kind", "theta_profile")
-        return read(cls, node, cls.node_keys, extra, **given)
-
-    def to_node(self) -> dict:
-        return {"kind": self.label, **write(self, self.node_keys)}
+            given["theta"] = theta()
+            node = {k: v for k, v in node.items() if k != "theta_profile"}
+        return super().from_node(node, **given)
 
     def start(self, d: int, w0: ParamVector, steps_per_epoch: int) -> StepHook:
         raise NotImplementedError
@@ -225,7 +224,7 @@ class SketchFda(SyncStrategy):
     rows: int = 5
     cols: int = 250
     seed: int = 0
-    label: ClassVar[str] = "sketch-fda"
+    kind: ClassVar[str] = "sketch-fda"
     node_keys: ClassVar[dict] = {"rows": "sketch.rows", "cols": "sketch.cols",
                                  "seed": "sketch.seed"}
 
@@ -251,7 +250,7 @@ class SketchFda(SyncStrategy):
 @dataclass(frozen=True)
 class LinearFda(SyncStrategy):
     theta: float
-    label: ClassVar[str] = "linear-fda"
+    kind: ClassVar[str] = "linear-fda"
 
     def __post_init__(self) -> None:
         ensure(self.theta >= 0, "theta must be >= 0")
@@ -265,7 +264,7 @@ class LinearFda(SyncStrategy):
 
 @dataclass(frozen=True)
 class Synchronous(SyncStrategy):
-    label: ClassVar[str] = "synchronous"
+    kind: ClassVar[str] = "synchronous"
 
     def start(self, d, w0, steps_per_epoch):
         return _every_step
@@ -274,7 +273,7 @@ class Synchronous(SyncStrategy):
 @dataclass(frozen=True)
 class LocalSgd(SyncStrategy):
     tau: int
-    label: ClassVar[str] = "local-sgd"
+    kind: ClassVar[str] = "local-sgd"
 
     def __post_init__(self) -> None:
         ensure(self.tau >= 1, "tau must be >= 1")
@@ -295,7 +294,7 @@ class FedOpt(SyncStrategy):
     server: OptimizerSpec = OptimizerSpec(kind="sgd-momentum", lr=0.316,
                                           eps=1e-7)
     local_epochs: int = 1
-    label: ClassVar[str] = "fedopt"
+    kind: ClassVar[str] = "fedopt"
 
     def __post_init__(self) -> None:
         ensure(self.local_epochs >= 1, "local_epochs must be >= 1")
@@ -305,7 +304,7 @@ class FedOpt(SyncStrategy):
                "the server optimizer takes no nesterov or weight_decay")
 
     @classmethod
-    def from_node(cls, node, theta):
+    def from_node(cls, node, theta=None):
         server = {**cls.server.to_node(), **child(node, "server")}
         return super().from_node(node, theta,
                                  server=OptimizerSpec.from_node(server))
@@ -325,7 +324,3 @@ class FedOpt(SyncStrategy):
             return None, w_global
 
         return hook
-
-
-STRATEGIES = {s.label: s
-              for s in (SketchFda, LinearFda, Synchronous, LocalSgd, FedOpt)}

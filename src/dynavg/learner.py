@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .schema import ensure, read, write
+from .schema import Node, ensure
 from .vecmath import ParamVector
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -261,7 +261,7 @@ def evaluate(model: Model, data: Dataset,
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
+class OptimizerSpec(Node):
     """A local or server optimizer's kind and hyperparameters."""
 
     kind: str = "sgd"
@@ -286,14 +286,6 @@ class OptimizerSpec:
                    f"optimizer {name} must be in [0, 1), not {value}")
         ensure(math.isfinite(self.eps) and self.eps > 0,
                f"optimizer eps must be finite and > 0, not {self.eps}")
-
-    @classmethod
-    def from_node(cls, node: dict) -> OptimizerSpec:
-        """Build from an `optimizer` node; absent keys keep the defaults."""
-        return read(cls, node)
-
-    def to_node(self) -> dict:
-        return write(self)
 
     def build(self, shape) -> OptimizerState:
         """Fresh state for parameters of this shape: a length d, or

@@ -1,21 +1,29 @@
 """Config nodes: the YAML mappings that the spec dataclasses read and write.
 
-A spec field maps to the node key of its own name, or to the key that
-`keys` gives it, which may name a child node (`"sketch.rows"` is `rows`
-in the child node `sketch`).  `read` coerces each present key by the
+Every spec dataclass derives from `Node`, which reads it from a node
+(`from_node`) and writes it back (`to_node`).  A field maps to the node key
+of its own name, or to the key that the class's `node_keys` gives it, which
+may name a child node (`"sketch.rows"` is `rows` in the child node
+`sketch`).  A field whose annotation is a `Node` class is read from, and
+written as, its own child node.  A scalar field's key is coerced by the
 field's annotation (`int`, `float`, `bool`, `str`, or `Optional` of one of
-them, as written) and leaves an absent key to the field's class default,
-so no default is stated twice.  An absent or empty (null) child node reads
-as an empty one.  Reading is strict: an int field takes only an integral
-number, a float field any number but a boolean, a bool field only a YAML
-boolean and a str field only a string, and a key that no field maps to is
+them) and an absent key is left to the field's class default, so no
+default is stated twice.  An absent or empty (null) child node reads as an
+empty one.  Reading is strict: an int field takes only an integral number,
+a float field any number but a boolean, a bool field only a YAML boolean
+and a str field only a string, and a key that no field maps to is
 rejected.  Invalid nodes raise ValueError.
+
+A family base (`SyncStrategy`, `PartitionScheme`, `DatasetSpec`) names its
+`tag` key; each variant holds its name in the ClassVar of that name, and
+`pick` builds the variant that a node's tag names.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
-from typing import Optional
+from functools import cache
+from typing import ClassVar, Optional, get_type_hints
 
 
 def ensure(ok: bool, message: str) -> None:
@@ -58,47 +66,73 @@ def _optional(coerce):
     return lambda value: None if value is None else coerce(value)
 
 
-_COERCE = {"int": _int, "float": to_float, "bool": _bool, "str": to_str,
-           "Optional[int]": _optional(_int), "Optional[str]": _optional(to_str)}
+_COERCE = {int: _int, float: to_float, bool: _bool, str: to_str,
+           Optional[int]: _optional(_int), Optional[str]: _optional(to_str)}
 
 
-def _path(keys: Optional[dict], name: str) -> tuple[str, str]:
+_hints = cache(get_type_hints)  # a class's field annotations, resolved
+
+
+def _path(keys: dict, name: str) -> tuple[str, str]:
     """(child node name or "", key) of a field."""
-    parent, _, key = (keys or {}).get(name, name).rpartition(".")
+    parent, _, key = keys.get(name, name).rpartition(".")
     return parent, key
 
 
-def read(cls, node: dict, keys: Optional[dict] = None, extra=(), **given):
-    """Build the dataclass `cls` from a node; `given` fields are passed
-    as they are.  A missing key of a field without default raises, and so
-    does a key, in the node or a child node, that no field maps to and
-    `extra` (the keys the caller reads itself) does not name."""
-    owned = {"": set(extra)}  # child node ("" is the node) -> its keys
-    for f in fields(cls):
-        path, key = _path(keys, f.name)
-        owned.setdefault(path, set()).add(key)
-        owned[""].add(path or key)
-        if f.name in given:
-            continue
-        parent = child(node, path) if path else node
-        if key in parent:
-            given[f.name] = _COERCE[f.type](parent[key])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"missing {cls.__name__} field {key!r}")
-    for path, names in owned.items():
-        unknown = set(child(node, path) if path else node) - names
-        ensure(not unknown, f"unknown {cls.__name__} key(s) "
-               f"{', '.join(sorted(map(repr, unknown)))}")
-    return cls(**given)
+class Node:
+    """A spec dataclass that maps to and from one config node."""
 
+    tag: ClassVar[Optional[str]] = None  # a family's variant-naming key
+    node_keys: ClassVar[dict] = {}  # field -> "key" or "child.key"
 
-def write(spec, keys: Optional[dict] = None) -> dict:
-    """The node that `read` maps back to `spec`; a field holding a spec
-    is written as that spec's own node."""
-    node: dict = {}
-    for f in fields(spec):
-        parent, key = _path(keys, f.name)
-        parent = node.setdefault(parent, {}) if parent else node
-        value = getattr(spec, f.name)
-        parent[key] = value.to_node() if hasattr(value, "to_node") else value
-    return node
+    @classmethod
+    def pick(cls, node: dict, **given):
+        """Build the variant of this family that `node[tag]` names or, when
+        the node lacks that key, the one that the base's own ClassVar of that
+        name names (`iid` for partitions).  A class that heads no family is
+        built from the node itself."""
+        if cls.tag is None:
+            return cls.from_node(node, **given)
+        name = node.get(cls.tag, getattr(cls, cls.tag, None))
+        ensure(name is not None, f"missing {cls.__name__} key {cls.tag!r}")
+        variants = {getattr(s, cls.tag): s for s in cls.__subclasses__()}
+        ensure(name in variants, f"unknown {cls.__name__} {cls.tag} {name!r}")
+        return variants[name].from_node(node, **given)
+
+    @classmethod
+    def from_node(cls, node: dict, **given):
+        """Build this dataclass from a node; `given` fields are passed as
+        they are.  A missing key of a field without default raises, and so
+        does a key, in the node or a child node, that no field maps to."""
+        hints = _hints(cls)
+        owned = {"": {cls.tag} if cls.tag else set()}  # child -> its keys
+        for f in fields(cls):
+            path, key = _path(cls.node_keys, f.name)
+            owned.setdefault(path, set()).add(key)
+            owned[""].add(path or key)
+            if f.name in given:
+                continue
+            parent = child(node, path) if path else node
+            hint = hints[f.name]
+            if isinstance(hint, type) and issubclass(hint, Node):
+                given[f.name] = hint.pick(child(parent, key))
+            elif key in parent:
+                given[f.name] = _COERCE[hint](parent[key])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing {cls.__name__} field {key!r}")
+        for path, names in owned.items():
+            unknown = set(child(node, path) if path else node) - names
+            ensure(not unknown, f"unknown {cls.__name__} key(s) "
+                   f"{', '.join(sorted(map(repr, unknown)))}")
+        return cls(**given)
+
+    def to_node(self) -> dict:
+        """The node that `from_node` (or the family's `pick`) maps back to
+        this spec."""
+        node: dict = {self.tag: getattr(self, self.tag)} if self.tag else {}
+        for f in fields(self):
+            parent, key = _path(self.node_keys, f.name)
+            parent = node.setdefault(parent, {}) if parent else node
+            value = getattr(self, f.name)
+            parent[key] = value.to_node() if isinstance(value, Node) else value
+        return node

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +133,33 @@ def test_parse_idx_requires_existing_files(tmp_path):
         cli.parse_config(mapping)
 
 
-def test_config_round_trip():
-    for strategy in (
-            {"kind": "synchronous"},
-            {"kind": "linear-fda", "theta": 0.25},
-            {"kind": "sketch-fda", "theta": 0.5,
-             "sketch": {"rows": 2, "cols": 9, "seed": 4}},
-            {"kind": "local-sgd", "tau": 3},
-            {"kind": "fedopt", "local_epochs": 2},
-            {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.02,
-                                          "beta1": 0.8}}):
-        config = cli.parse_config(base_mapping(strategy=strategy))
-        again = cli.parse_config(cli.config_to_mapping(config))
-        assert again == config
+def test_config_round_trip(tmp_path):
+    from test_cluster_sim import idx_spec
+
+    strategies = [
+        {"kind": "synchronous"},
+        {"kind": "linear-fda", "theta": 0.25},
+        {"kind": "sketch-fda", "theta": 0.5,
+         "sketch": {"rows": 2, "cols": 9, "seed": 4}},
+        {"kind": "local-sgd", "tau": 3},
+        {"kind": "fedopt", "local_epochs": 2},
+        {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.02,
+                                      "beta1": 0.8}}]
+    cases = [{"strategy": strategy} for strategy in strategies] + [
+        {"partition": {"scheme": "iid"}},
+        {"partition": {"scheme": "noniid-fraction", "percent": 40}},
+        {"partition": {"scheme": "noniid-label", "label": 1, "holders": 2}},
+        {"dataset": {"kind": "blobs", "n": 300, "p": 4, "classes": 3,
+                     "seed": 17}},
+        {"dataset": {"kind": "idx", **asdict(idx_spec(tmp_path))}},
+        {"model": {"kind": "mlp", "hidden": 5, "init": "he-normal"},
+         "optimizer": {"kind": "adamw", "lr": 0.002, "beta2": 0.99,
+                       "weight_decay": 0.01},
+         "output": {"metrics_csv": "out/m.csv",
+                    "events_jsonl": "out/e.jsonl"}}]
+    for overrides in cases:
+        config = cli.parse_config(base_mapping(**overrides))
+        assert cli.parse_config(config.to_node()) == config
 
 
 @pytest.mark.parametrize("strategy", [
@@ -210,6 +225,9 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
                                                "beta1": 1.0}}},
     {"strategy": {"kind": "fedopt", "server": {"kind": "adam",
                                                "eps": -1e-7}}},
+    {"accuracy_target": float("nan")},
+    {"accuracy_target": -3},
+    {"accuracy_target": 1.5},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -221,7 +239,8 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
         "momentum-negative", "momentum-1", "beta1-1", "beta1-negative",
         "beta2-1.5", "eps-0", "eps-nan", "weight-decay-negative",
         "weight-decay-inf", "server-lr-negative", "server-momentum-1",
-        "server-beta1-1", "server-eps-negative"])
+        "server-beta1-1", "server-eps-negative", "target-nan", "target--3",
+        "target-1.5"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
     mapping = base_mapping(**overrides)
     with pytest.raises(cli.ConfigError):
@@ -480,6 +499,19 @@ def test_sweep_empty_directory(tmp_path):
     assert lines == [",".join(cli.SWEEP_COLUMNS)]
 
 
+def test_sweep_missing_directory_is_a_config_error_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
+    # A path that does not exist, and a config file given as the directory.
+    config = write_config(tmp_path, base_mapping())
+    for path in (tmp_path / "no" / "such" / "dir", config):
+        with pytest.raises(OSError):
+            cli.sweep(str(path))
+        assert cli.main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_sweep_marks_failures_and_continues(tmp_path):
     write_config(tmp_path, base_mapping(), name="a_good.yaml")
     write_config(tmp_path, base_mapping(
@@ -582,6 +614,14 @@ def test_main_theta(capsys):
     assert cli.main(["theta", "--profile", "fl", "--dim", "62000"]) == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(3.044, abs=1e-3)
+
+
+@pytest.mark.parametrize("dim", ["0", "-5"])
+def test_main_theta_dim_below_one_is_a_config_error(capsys, dim):
+    assert cli.main(["theta", "--profile", "fl", "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: model dimension must be >= 1\n"
 
 
 def test_main_run_and_sweep(tmp_path, capsys):
