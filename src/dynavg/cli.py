@@ -1,12 +1,13 @@
 """Experiment front end: config files, runs, sweeps, threshold presets.
 
 A run is described by one YAML (or JSON) file; see the README for the full
-schema.  `RunConfig.from_node` reads it (`schema.Node`), and `parse_config`
-then resolves the strategy's theta, whose `theta_profile` needs the model
-dimension.  `run` executes it and writes a per-epoch metrics CSV plus a
-per-step JSONL event log.  `sweep` executes every config in a directory,
-each writing its own reports as `run` does, and aggregates one row per
-run.  `theta` prints a threshold preset c * d for a deployment profile.
+schema.  `RunConfig.from_node` reads it (`schema.Node`); `parse_config`
+then replaces a strategy's `theta_profile` key, which needs the model
+dimension, with the preset `theta` before it builds the strategy.  `run`
+executes it and writes a per-epoch metrics CSV plus a per-step JSONL event
+log.  `sweep` executes every config in a directory, each writing its own
+reports as `run` does, and aggregates one row per run.  `theta` prints a
+threshold preset c * d for a deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
 still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 before
@@ -30,7 +31,7 @@ from .cluster_sim import (EpochRecord, RunConfig, RunDivergedError, RunReport,
                           run)
 from .fda_core import SyncStrategy, Synchronous
 from .learner import param_count
-from .schema import child, to_float, to_str
+from .schema import child, to_str
 
 THETA_COEFFICIENTS = {
     "fl": 4.91e-5,
@@ -59,18 +60,18 @@ def theta_preset(profile: str, d: int) -> float:
 
 # --- config parsing ---------------------------------------------------------
 
-def _theta(node: dict, config: RunConfig) -> float:
-    """A strategy node's theta, or its theta_profile preset at the
-    config's model dimension."""
-    if "theta" in node and "theta_profile" in node:
+def _resolve_theta(node: dict, config: RunConfig) -> dict:
+    """A strategy node whose theta_profile key, when its kind takes a theta,
+    is replaced by that profile's preset at the config's model dimension."""
+    takes_theta = "theta" in SyncStrategy.variant(node).__dataclass_fields__
+    if "theta_profile" not in node or not takes_theta:
+        return node
+    if "theta" in node:
         raise ConfigError("give either theta or theta_profile, not both")
-    if "theta_profile" in node:
-        d = param_count(config.model_kind, *config.dataset.shape(),
-                        config.hidden)
-        return theta_preset(to_str(node["theta_profile"]), d)
-    if "theta" not in node:
-        raise ConfigError(f"missing {node['kind']} strategy field 'theta'")
-    return to_float(node["theta"])
+    d = param_count(config.model_kind, *config.dataset.shape(), config.hidden)
+    node = dict(node, theta=theta_preset(to_str(node["theta_profile"]), d))
+    del node["theta_profile"]
+    return node
 
 
 def parse_config(mapping: dict) -> RunConfig:
@@ -81,21 +82,24 @@ def parse_config(mapping: dict) -> RunConfig:
     if not isinstance(mapping, dict):
         raise ConfigError("config root must be a mapping")
     try:
-        # The strategy is replaced once theta can resolve.
+        # The strategy is replaced once its theta_profile can resolve.
         config = RunConfig.from_node(mapping, strategy=Synchronous())
-        node = child(mapping, "strategy")
-        return replace(config, strategy=SyncStrategy.pick(
-            node, theta=lambda: _theta(node, config)))
+        node = _resolve_theta(child(mapping, "strategy"), config)
+        return replace(config, strategy=SyncStrategy.pick(node))
     except ConfigError:
         raise
     except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+# PyYAML's libyaml parser, when built, with the same safe constructor.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
-            mapping = yaml.safe_load(f)
+            mapping = yaml.load(f, Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(mapping)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections.abc import Iterator, Sequence
-from dataclasses import astuple, dataclass, field
+from collections.abc import Iterator
+from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -190,8 +190,9 @@ def allreduce_average(payload, ledger: CostLedger, category: str):
     """Average one payload per worker; charge K times one worker's entries.
 
     A "model-sync" payload is the rows of a (K, d) matrix, averaged in
-    ascending worker order; a "state" payload is one LocalState stacking K
-    workers' states, which reports its own entry count.
+    ascending worker order; a "state" payload is one LocalState of K
+    workers, which reports its own entry count and, already holding their
+    mean summary, is returned as it is.
     """
     if category == "model-sync" and isinstance(payload, np.ndarray):
         mean = average(payload)  # raises, unbilled, unless (K, d) with K >= 1
@@ -200,7 +201,7 @@ def allreduce_average(payload, ledger: CostLedger, category: str):
     if category == "state" and isinstance(payload, LocalState):
         ledger.bytes_state += (WIRE_BYTES_PER_ENTRY * payload.workers
                                * payload.entries)
-        return fda_core.average_states(payload)
+        return payload
     raise ValueError(
         f"cannot reduce a {type(payload).__name__} as {category!r}")
 
@@ -340,14 +341,14 @@ class StepRecord:
 _SYNCED, _HAS_H, _HAS_VARIANCE = 1, 2, 4
 
 
-class StepLog(Sequence):
+class StepLog:
     """The per-step records of one run, held as typed `array` columns.
 
     Row i is step i + 1.  One flags byte per row holds `synced` and whether
     `h_value` and `variance` are set; an unset value is stored as 0.0 and
     read back as None, so None, NaN, ±inf and -0.0 all round-trip.  That is
     33 bytes per step; a `StepRecord` with its boxed scalars takes about
-    250, so rows are built only on access.  A slice is a list of them.
+    250, so rows are built only while iterating, from the columns.
     """
 
     def __init__(self) -> None:
@@ -371,21 +372,10 @@ class StepLog(Sequence):
     def __len__(self) -> int:
         return len(self._flags)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._row(i) for i in range(*index.indices(len(self)))]
-        return self._row(range(len(self))[index])
-
     def __iter__(self) -> Iterator[StepRecord]:
-        return map(self._row, range(len(self)))
-
-    def _row(self, i: int) -> StepRecord:
-        flags = self._flags[i]
-        return StepRecord(
-            step=i + 1, synced=bool(flags & _SYNCED),
-            h_value=self._h[i] if flags & _HAS_H else None,
-            variance=self._variance[i] if flags & _HAS_VARIANCE else None,
-            train_loss=self._loss[i], bytes_cumulative=self._bytes[i])
+        """The rows, in step order."""
+        return map(StepRecord, *(self.column(f.name)
+                                 for f in fields(StepRecord)))
 
     def column(self, name: str) -> Iterator:
         """The `StepRecord` field `name` of every row, in step order,

@@ -44,6 +44,8 @@ class LocalState:
     is the workers' mean summary: a 0-d mean projection <xi, u>, or the
     (l, m) rows of one sketch of the mean drift, which by linearity is the
     mean of the K sketches.  Every worker still ships its own summary.
+    The state is thus its own average: the AllReduce bills it and the H
+    functions read it as it is.
     """
 
     drift_norm_sq: np.ndarray
@@ -58,11 +60,10 @@ class LocalState:
         """Wire entries per worker: its norm and its summary."""
         return 1 + self.summary.size
 
-
-@dataclass
-class AveragedState:
-    mean_drift_norm_sq: float
-    mean_summary: np.ndarray
+    @property
+    def mean_drift_norm_sq(self) -> float:
+        """The workers' mean ||u_k||^2, added in ascending worker order."""
+        return ordered_mean(self.drift_norm_sq)
 
 
 def variance_exact(models, out: Optional[np.ndarray] = None) -> float:
@@ -88,13 +89,12 @@ def make_local_state_sketch(u: Drift, t: sk.SketchTransform) -> LocalState:
     the K sketches that the workers send.
 
     `u` serves as scratch: once the norms are taken, the mean drift is
-    summed into its first row, so no (d,) array is made.  A (d,) drift
+    averaged into its first row, so no (d,) array is made.  A (d,) drift
     keeps its values (it is divided by 1)."""
     u = np.atleast_2d(u)
     ensure(len(u) > 0, "local state of no workers")
     norms = norm_sq(u)
-    mean = ordered_sum(u, out=u[0])
-    mean /= len(u)
+    mean = average(u, out=u[0])
     return LocalState(drift_norm_sq=norms, summary=sk.apply(t, mean).rows)
 
 
@@ -107,35 +107,30 @@ def make_local_state_linear(u: Drift, xi: Xi) -> LocalState:
     return LocalState(drift_norm_sq=norm_sq(u), summary=np.array(mean))
 
 
-def average_states(states) -> AveragedState:
-    """Mean of K workers' states, in ascending worker order: one state
-    built from their drifts, or a list of one-worker states of one kind."""
-    if not isinstance(states, LocalState):
-        if (len({s.summary.shape for s in states}) != 1
-                or {s.workers for s in states} != {1}):
-            raise ValueError("can only average a list of one-worker states "
-                             "of one kind")
-        states = LocalState(
-            drift_norm_sq=np.concatenate([s.drift_norm_sq for s in states]),
-            summary=ordered_sum(np.stack([s.summary for s in states]))
-            / len(states))
-    ensure(states.workers > 0, "average of no states")
-    return AveragedState(
-        mean_drift_norm_sq=ordered_mean(states.drift_norm_sq),
-        mean_summary=states.summary)
+def average_states(states: list) -> LocalState:
+    """K one-worker states of one kind stacked into one: their norms in
+    worker order and the mean of their summaries, added in ascending order.
+    The per-worker reference for a state built from a (K, d) matrix."""
+    ensure(len({s.summary.shape for s in states}) == 1
+           and {s.workers for s in states} == {1},
+           "can only average a list of one-worker states of one kind")
+    return LocalState(
+        drift_norm_sq=np.concatenate([s.drift_norm_sq for s in states]),
+        summary=ordered_sum(np.stack([s.summary for s in states]))
+        / len(states))
 
 
-def h_sketch(avg: AveragedState, eps: float) -> float:
+def h_sketch(state: LocalState, eps: float) -> float:
     """Sketch-based overestimate: mean||u||^2 - M2(mean sketch)/(1+eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    m2 = sk.m2_estimate(sk.AmsSketch(rows=avg.mean_summary))
-    return avg.mean_drift_norm_sq - m2 / (1.0 + eps)
+    m2 = sk.m2_estimate(sk.AmsSketch(rows=state.summary))
+    return state.mean_drift_norm_sq - m2 / (1.0 + eps)
 
 
-def h_linear(avg: AveragedState) -> float:
+def h_linear(state: LocalState) -> float:
     """Projection-based overestimate: mean||u||^2 - (mean <xi,u>)^2."""
-    return avg.mean_drift_norm_sq - float(avg.mean_summary) ** 2
+    return state.mean_drift_norm_sq - float(state.summary) ** 2
 
 
 def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
@@ -152,10 +147,11 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 
 # --- synchronization strategies -------------------------------------------
 
-# reduce(payload, category) is the charged AllReduce: it averages one
-# payload per worker, the rows of a (K, d) matrix under "model-sync" or K
-# workers' states stacked in one LocalState under "state", and bills the
-# ledger K times one worker's entries.
+# reduce(payload, category) is the charged AllReduce: it bills the ledger K
+# times one worker's entries and returns the average of one payload per
+# worker.  Under "model-sync" that is the mean row of a (K, d) matrix; under
+# "state" the payload is one LocalState of K workers, which already holds
+# their mean summary, and comes back as it is.
 Reduce = Callable[[object, str], object]
 # hook(t, (K, d) worker params, reduce, (K, d) scratch) -> (H or None, new
 # common model or None).  The hook reads the params and must not keep or
@@ -204,16 +200,6 @@ class SyncStrategy(Node):
     tag = "kind"
     kind: ClassVar[str]
 
-    @classmethod
-    def from_node(cls, node: dict, theta: Optional[Callable[[], float]] = None,
-                  **given):
-        """Build from a strategy node; theta() resolves a `theta` field,
-        which its `theta` or `theta_profile` key gives."""
-        if "theta" in cls.__dataclass_fields__:
-            given["theta"] = theta()
-            node = {k: v for k, v in node.items() if k != "theta_profile"}
-        return super().from_node(node, **given)
-
     def start(self, d: int, w0: ParamVector, steps_per_epoch: int) -> StepHook:
         raise NotImplementedError
 
@@ -244,7 +230,7 @@ class SketchFda(SyncStrategy):
         eps = self.eps
         return _variance_monitor(
             self.theta, w0, lambda u, xi: make_local_state_sketch(u, transform),
-            lambda avg: h_sketch(avg, eps), reads_xi=False)
+            lambda state: h_sketch(state, eps), reads_xi=False)
 
 
 @dataclass(frozen=True)
@@ -304,10 +290,10 @@ class FedOpt(SyncStrategy):
                "the server optimizer takes no nesterov or weight_decay")
 
     @classmethod
-    def from_node(cls, node, theta=None):
+    def from_node(cls, node, **given):
         server = {**cls.server.to_node(), **child(node, "server")}
-        return super().from_node(node, theta,
-                                 server=OptimizerSpec.from_node(server))
+        return super().from_node(node, server=OptimizerSpec.from_node(server),
+                                 **given)
 
     def start(self, d, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch

@@ -86,18 +86,23 @@ class Node:
     node_keys: ClassVar[dict] = {}  # field -> "key" or "child.key"
 
     @classmethod
-    def pick(cls, node: dict, **given):
-        """Build the variant of this family that `node[tag]` names or, when
-        the node lacks that key, the one that the base's own ClassVar of that
-        name names (`iid` for partitions).  A class that heads no family is
-        built from the node itself."""
+    def variant(cls, node: dict) -> type:
+        """The class of this family that `node[tag]` names or, when the node
+        lacks that key, the one that the base's own ClassVar of that name
+        names (`iid` for partitions).  A class that heads no family is its
+        own variant."""
         if cls.tag is None:
-            return cls.from_node(node, **given)
+            return cls
         name = node.get(cls.tag, getattr(cls, cls.tag, None))
         ensure(name is not None, f"missing {cls.__name__} key {cls.tag!r}")
         variants = {getattr(s, cls.tag): s for s in cls.__subclasses__()}
         ensure(name in variants, f"unknown {cls.__name__} {cls.tag} {name!r}")
-        return variants[name].from_node(node, **given)
+        return variants[name]
+
+    @classmethod
+    def pick(cls, node: dict, **given):
+        """Build the `variant` that `node` names from it."""
+        return cls.variant(node).from_node(node, **given)
 
     @classmethod
     def from_node(cls, node: dict, **given):

@@ -52,6 +52,8 @@ def ordered_sum(m, out: Optional[np.ndarray] = None) -> np.ndarray:
 def ordered_mean(xs) -> float:
     """Mean of K numbers (an array or a list), added left to right as
     Python floats; builtin `sum` compensates float sums from Python 3.12."""
+    if len(xs) == 0:
+        raise ValueError("mean of no numbers")
     total = 0.0
     for x in np.asarray(xs).tolist():
         total += x

@@ -20,6 +20,9 @@ from dynavg.cluster_sim import (
 from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def base_mapping(**overrides):
     mapping = {
         "seed": 5,
@@ -179,6 +182,11 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
 
 
+# Cases whose error must name the key at fault.
+NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
+              "linear-fda-no-theta": "'theta'"}
+
+
 @pytest.mark.parametrize("overrides", [
     {"model": {"kind": "cnn"}},
     {"model": {"kind": "logistic", "init": "zeros"}},
@@ -200,6 +208,7 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
                   "sketch": {"rows": 3}}},
     {"partition": {"scheme": "noniid-label", "label": 0, "holder": 2}},
     {"strategy": {"kind": "synchronous", "theta_profile": "balanced"}},
+    {"strategy": {"kind": "linear-fda"}},
     {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"row": 3}}},
     {"model": {"kind": "logistic", "hiden": 4}},
     {"strategy": {"kind": "fedopt", "server": {"learning_rate": 0.1}}},
@@ -233,7 +242,8 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
         "server-lr-true", "metrics-csv-true", "theta-profile-int",
         "optimizer-learning-rate", "wokers", "linear-fda-sketch",
-        "label-holder", "synchronous-theta-profile", "sketch-row",
+        "label-holder", "synchronous-theta-profile", "linear-fda-no-theta",
+        "sketch-row",
         "model-hiden", "server-learning-rate", "logistic-hidden",
         "one-file-both-outputs", "lr-negative", "lr-nan", "lr-inf",
         "momentum-negative", "momentum-1", "beta1-1", "beta1-negative",
@@ -241,9 +251,11 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
         "weight-decay-inf", "server-lr-negative", "server-momentum-1",
         "server-beta1-1", "server-eps-negative", "target-nan", "target--3",
         "target-1.5"])
-def test_invalid_config_values_rejected_at_parse(tmp_path, overrides):
+def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
+                                                request):
     mapping = base_mapping(**overrides)
-    with pytest.raises(cli.ConfigError):
+    match = NAMED_KEYS.get(request.node.callspec.id)
+    with pytest.raises(cli.ConfigError, match=match):
         cli.parse_config(mapping)
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
 
@@ -294,6 +306,20 @@ def test_readme_config_schema_parses():
                                        test_n=2000)
     assert (config.metrics_csv, config.events_jsonl) == (
         "out/metrics.csv", "out/events.jsonl")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_golden_configs_parse_alike_under_both_yaml_loaders(path):
+    # `load_config` parses with libyaml when PyYAML has it; the pure-Python
+    # SafeLoader shares its constructor, so every config reads the same.
+    configs = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        with open(path) as f:
+            configs.append(cli.parse_config(yaml.load(f, Loader=loader)))
+    assert configs[0] == configs[1] == cli.load_config(str(path))
 
 
 def test_load_config_bad_yaml(tmp_path):

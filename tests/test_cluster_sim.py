@@ -452,7 +452,7 @@ def test_audit_variance_reset_after_sync():
     # Audit happens before the sync, so recorded variance is the pre-sync
     # value; after the first sync the workers restart from a common model
     # and one local step keeps them close.
-    assert report.steps[0].variance >= 0.0
+    assert next(iter(report.steps)).variance >= 0.0
 
 
 def test_post_sync_variance_resets():
@@ -671,30 +671,27 @@ def test_step_log_round_trips_none_nan_inf_and_negative_zero():
     # repr tells None, NaN, ±inf, 0.0 and -0.0 apart, where == cannot.
     log = filled_step_log()
     assert len(log) == len(STEP_ROWS)
-    for i, row in enumerate(STEP_ROWS):
-        record = log[i]
+    records = list(log)
+    assert len(records) == len(STEP_ROWS)
+    for i, (row, record) in enumerate(zip(STEP_ROWS, records)):
         assert isinstance(record, cs.StepRecord)
         assert repr(dataclasses.astuple(record)) == repr((i + 1, *row))
         assert type(record.synced) is bool
 
 
-def test_step_log_indexes_like_a_list():
+def test_step_log_reads_rows_and_columns_in_step_order():
+    # Rows are read by iteration, fields by column; the log is not indexed.
     log = filled_step_log()
-    rows = [log[i] for i in range(len(log))]
-    assert repr(list(log)) == repr(rows)
-    assert repr(log[-1]) == repr(rows[-1])
-    assert repr(log[-len(log)]) == repr(rows[0])
-    for index in (slice(1, 4), slice(None, None, -2), slice(-3, None),
-                  slice(4, 1)):
-        assert repr(log[index]) == repr(rows[index])
-    for index in (len(log), -len(log) - 1):
-        with pytest.raises(IndexError):
-            log[index]
+    rows = list(log)
+    assert [r.step for r in rows] == list(range(1, len(STEP_ROWS) + 1))
+    assert repr(list(log)) == repr(rows)  # each iteration starts afresh
     for field in dataclasses.fields(cs.StepRecord):
         assert repr(list(log.column(field.name))) == \
             repr([getattr(r, field.name) for r in rows])
     with pytest.raises(KeyError):
         log.column("H")
+    with pytest.raises(TypeError):
+        log[0]
     assert len(cs.StepLog()) == 0 and list(cs.StepLog()) == []
 
 

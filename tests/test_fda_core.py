@@ -128,8 +128,8 @@ def test_state_averaging_mixed_kinds_rejected():
                   lambda u: fda_core.make_local_state_sketch(u, t)):
         with pytest.raises(ValueError):
             build(np.zeros((0, 4)))
-    with pytest.raises(ValueError):  # nor averaged
-        fda_core.average_states(fda_core.LocalState(
+    with pytest.raises(ValueError):  # nor read
+        fda_core.h_linear(fda_core.LocalState(
             drift_norm_sq=np.zeros(0), summary=np.array(0.0)))
     # A list holds one-worker states; two stacked states are not averaged.
     for s in (fda_core.make_local_state_sketch(np.ones((2, 4)), t),
@@ -147,22 +147,22 @@ def test_state_averaging_values():
     expected_norm = sum(float(u @ u) for u in drifts) / 3
     assert avg.mean_drift_norm_sq == pytest.approx(expected_norm, rel=1e-12)
     expected_rows = sum(sketch.apply(t, u).rows for u in drifts) / 3
-    np.testing.assert_allclose(avg.mean_summary, expected_rows, rtol=1e-12)
+    np.testing.assert_allclose(avg.summary, expected_rows, rtol=1e-12)
     # One worker's state, built from a (d,) drift, averages to itself.
     xi = drifts[1] / np.linalg.norm(drifts[1])
     for state in (fda_core.make_local_state_sketch(drifts[0], t),
                   fda_core.make_local_state_linear(drifts[0], None),
                   fda_core.make_local_state_linear(drifts[0], xi)):
-        avg = fda_core.average_states(state)
+        avg = fda_core.average_states([state])
         assert avg.mean_drift_norm_sq == state.drift_norm_sq[0]
-        assert np.array_equal(avg.mean_summary, state.summary)
+        assert np.array_equal(avg.summary, state.summary)
 
 
-def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
-    # A stacked state built from a (K, d) drift matrix carries one sketch of
-    # the mean drift: averaging keeps it unchanged, while the K norms are
-    # still added in ascending order, which this K = 9 data tells apart
-    # from numpy's pairwise sum.
+def test_state_reduce_returns_it_with_norms_added_in_ascending_order():
+    # A state of K workers already holds their mean summary: the AllReduce
+    # bills it and returns it unchanged, while its mean norm adds the K
+    # norms in ascending order, which this K = 9 data tells apart from
+    # numpy's pairwise sum.
     rng = np.random.default_rng(0)
     norms = rng.uniform(0.1, 3.0, 9) ** 2 * rng.uniform(1, 1e3, 9)
     ascending = 0.0
@@ -170,20 +170,24 @@ def test_average_states_takes_a_sketch_without_worker_axis_as_the_mean():
         ascending += v
     assert float(np.sum(norms)) != ascending
     rows = rng.standard_normal((3, 5))
-    avg = fda_core.average_states(fda_core.LocalState(
-        drift_norm_sq=norms, summary=rows.copy()))
-    assert avg.mean_drift_norm_sq == ascending / 9
-    assert np.array_equal(avg.mean_summary, rows)
+    state = fda_core.LocalState(drift_norm_sq=norms, summary=rows.copy())
+    ledger = cs.CostLedger()
+    assert cs.allreduce_average(state, ledger, "state") is state
+    assert ledger.bytes_state == 4 * 9 * (1 + 15)
+    assert state.mean_drift_norm_sq == ascending / 9
+    assert np.array_equal(state.summary, rows)
 
 
 def ref_average_states(states):
     """Per-worker averaging in ascending order, the bit-exact reference."""
     k = len(states)
-    mean_norm = sum(float(s.drift_norm_sq[0]) for s in states) / k
+    total = 0.0  # not builtin sum, which compensates from Python 3.12
+    for s in states:
+        total += float(s.drift_norm_sq[0])
     acc = states[0].summary
     for s in states[1:]:
         acc = acc + s.summary
-    return mean_norm, acc / k
+    return total / k, acc / k
 
 
 @pytest.mark.parametrize("k", [3, 9])
@@ -232,23 +236,24 @@ def test_batched_states_match_per_worker_path(k):
         ref_norm, ref_summary = ref_average_states(per_worker)
         ledger = cs.CostLedger()
         listed = fda_core.average_states(per_worker)
-        stacked = cs.allreduce_average(batched, ledger, "state")
+        # The stacked state already holds the mean: the AllReduce bills
+        # K times its entries and hands it back for H to read.
+        assert cs.allreduce_average(batched, ledger, "state") is batched
         assert ledger.bytes_state == k * 4 * batched.entries > 0
-        averaged = listed, stacked
-        for avg in averaged:
-            assert avg.mean_drift_norm_sq == ref_norm
+        for state in (listed, batched):
+            assert state.mean_drift_norm_sq == ref_norm
         if transform is None:
-            for avg in averaged:
-                assert avg.mean_summary == ref_summary
-                assert h_of(avg) == h_of(listed)
+            for state in (listed, batched):
+                assert state.summary == ref_summary
+            assert h_of(batched) == h_of(listed)
             continue
-        assert np.array_equal(listed.mean_summary, ref_summary)
+        assert np.array_equal(listed.summary, ref_summary)
         mean_drift = vecmath.ordered_sum(drifts) / k
-        assert np.array_equal(stacked.mean_summary,
+        assert np.array_equal(batched.summary,
                               sketch.apply(transform, mean_drift).rows)
-        np.testing.assert_allclose(stacked.mean_summary, ref_summary,
+        np.testing.assert_allclose(batched.summary, ref_summary,
                                    rtol=1e-12, atol=0)
-        assert h_of(stacked) == pytest.approx(h_of(listed), rel=1e-12)
+        assert h_of(batched) == pytest.approx(h_of(listed), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 9])
@@ -323,12 +328,13 @@ def test_h_sketch_with_perfect_estimate_overestimates():
     for _ in range(50):
         drifts = random_drifts(rng, 5, 30)
         mean_drift = sum(drifts) / 5
-        mean_norm = sum(float(u @ u) for u in drifts) / 5
         perfect = np.array([[np.linalg.norm(mean_drift), 0.0, 0.0]])
-        avg = fda_core.AveragedState(mean_drift_norm_sq=mean_norm,
-                                     mean_summary=perfect)
-        h = fda_core.h_sketch(avg, eps=0.25)
-        var = fda_core.variance_from_drifts(mean_norm, mean_drift)
+        state = fda_core.LocalState(
+            drift_norm_sq=np.array([float(u @ u) for u in drifts]),
+            summary=perfect)
+        h = fda_core.h_sketch(state, eps=0.25)
+        var = fda_core.variance_from_drifts(state.mean_drift_norm_sq,
+                                            mean_drift)
         assert h >= var - 1e-12
 
 
@@ -412,7 +418,7 @@ def recording_reduce(categories):
     def reduce(payloads, category):
         categories.append(category)
         if category == "state":
-            return fda_core.average_states(payloads)
+            return payloads
         return vecmath.average(payloads)
     return reduce
 
@@ -602,8 +608,7 @@ def test_fedopt_momentum_matches_recurrence():
 def test_fedopt_adam_server_builds():
     # A server node keeps FedOpt's own defaults for the keys it omits.
     strategy = FedOpt.from_node(
-        {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.001}},
-        theta=None)
+        {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.001}})
     opt = strategy.server.build(6)
     assert opt.spec.kind == "adam" and opt.spec.lr == 0.001
     assert opt.spec.eps == 1e-7

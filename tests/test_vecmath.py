@@ -67,6 +67,9 @@ def test_average_errors():
         vecmath.average([])
     with pytest.raises(ValueError):
         vecmath.average([np.zeros(2), np.zeros(3)])
+    for empty in ([], np.zeros(0)):
+        with pytest.raises(ValueError):
+            vecmath.ordered_mean(empty)
 
 
 def test_average_does_not_mutate_inputs():
