@@ -229,6 +229,13 @@ class BlobsSpec(DatasetSpec):
     kind: ClassVar[str] = "blobs"
     node_keys: ClassVar[dict] = {"num_classes": "classes"}
 
+    def __post_init__(self) -> None:
+        # make_blobs' rule, checked where the config is read.
+        for key, value, low in (("n", self.n, 1), ("p", self.p, 1),
+                                ("classes", self.num_classes, 2),
+                                ("test_n", self.test_n, 1)):
+            ensure(value >= low, f"blobs {key} must be >= {low}, not {value}")
+
     def shape(self) -> tuple[int, int]:
         """(p, C): feature dimension and class count."""
         return self.p, self.num_classes

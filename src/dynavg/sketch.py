@@ -9,12 +9,16 @@ whole map is linear, so sketches of different vectors can be averaged before
 estimating.  A run uses that linearity: it sketches the K workers' mean
 drift once per step in place of averaging K sketches, while the ledger
 still bills every worker's own sketch on the wire.
+
+A transform holds only its narrow (l, d) bin table; `apply` widens one row
+at a time inside `np.bincount`, into a (d,) intp temporary that is freed
+before the next row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +49,28 @@ class SketchTransform:
 
     Row i keeps each coordinate's bucket and sign in one signed bin,
     `bins[i, j] = h_i(j) + m * [s_i(j) < 0]`, in [0, 2m).  `bins` is
-    read-only, in the smallest unsigned dtype that holds 2m - 1.
-    `np.bincount` copies any index that is not intp, so `apply` widens one
-    row at a time into `_row`, a (d,) intp buffer the transform owns."""
+    read-only, in the smallest unsigned dtype that holds 2m - 1, and is the
+    only array the transform holds.  A table that is not (l, d) integers in
+    [0, 2m) raises ValueError before it is narrowed."""
 
     d: int
     l: int
     m: int
     seed: int
     bins: np.ndarray  # (l, d) uint8 or wider, values in [0, 2m)
-    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bins = np.require(self.bins, np.min_scalar_type(2 * self.m - 1),
-                          "C").view()
+        bins = np.asarray(self.bins)
+        if (bins.shape != (self.l, self.d)
+                or not np.issubdtype(bins.dtype, np.integer)):
+            raise ValueError(f"bins must be an ({self.l}, {self.d}) integer "
+                             f"table, not {bins.shape} {bins.dtype}")
+        if bins.min() < 0 or bins.max() >= 2 * self.m:
+            raise ValueError(f"bins must lie in [0, {2 * self.m}), not "
+                             f"[{bins.min()}, {bins.max()}]")
+        bins = np.require(bins, np.min_scalar_type(2 * self.m - 1), "C").view()
         bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "_row", np.empty(self.d, np.intp))
 
 
 @dataclass
@@ -103,13 +112,13 @@ def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
     """Sketch a vector: rows[i][h_i(j)] += s_i(j) * v_j for every j.
 
     Each row sums v into 2m signed bins; the last m (the negative signs)
-    are subtracted from the first m."""
+    are subtracted from the first m.  `np.bincount` widens the row's bins
+    into a (d,) intp temporary of its own, which it frees."""
     if v.shape != (t.d,):
         raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
     rows = np.empty((t.l, t.m), dtype=np.float64)
     for i in range(t.l):
-        np.copyto(t._row, t.bins[i])
-        signed = np.bincount(t._row, weights=v, minlength=2 * t.m)
+        signed = np.bincount(t.bins[i], weights=v, minlength=2 * t.m)
         np.subtract(signed[:t.m], signed[t.m:], out=rows[i])
     return AmsSketch(rows=rows)
 

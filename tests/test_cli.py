@@ -23,6 +23,9 @@ from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 GOLDEN = Path(__file__).parent / "golden"
 
 
+BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
+
+
 def base_mapping(**overrides):
     mapping = {
         "seed": 5,
@@ -30,8 +33,7 @@ def base_mapping(**overrides):
         "batch_size": 16,
         "max_epochs": 2,
         "accuracy_target": 1.0,
-        "dataset": {"kind": "blobs", "n": 400, "p": 6, "classes": 3,
-                    "test_n": 200},
+        "dataset": dict(BLOBS),
         "model": {"kind": "logistic"},
         "optimizer": {"kind": "sgd", "lr": 0.05},
         "strategy": {"kind": "synchronous"},
@@ -184,7 +186,10 @@ def test_invalid_strategy_values_rejected_at_parse(tmp_path, strategy):
 
 # Cases whose error must name the key at fault.
 NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
-              "linear-fda-no-theta": "'theta'"}
+              "linear-fda-no-theta": "'theta'",
+              "blobs-n-0": "blobs n must", "blobs-p-0": "blobs p must",
+              "blobs-classes-1": "blobs classes must",
+              "blobs-test-n-0": "blobs test_n must"}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -237,6 +242,10 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"accuracy_target": float("nan")},
     {"accuracy_target": -3},
     {"accuracy_target": 1.5},
+    {"dataset": {**BLOBS, "n": 0}},
+    {"dataset": {**BLOBS, "p": 0}},
+    {"dataset": {**BLOBS, "classes": 1}},
+    {"dataset": {**BLOBS, "test_n": 0}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -250,7 +259,8 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "beta2-1.5", "eps-0", "eps-nan", "weight-decay-negative",
         "weight-decay-inf", "server-lr-negative", "server-momentum-1",
         "server-beta1-1", "server-eps-negative", "target-nan", "target--3",
-        "target-1.5"])
+        "target-1.5", "blobs-n-0", "blobs-p-0", "blobs-classes-1",
+        "blobs-test-n-0"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
     mapping = base_mapping(**overrides)

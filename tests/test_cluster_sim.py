@@ -584,17 +584,18 @@ def sketch_mlp_run_over_data(audit: bool, test_n: int) -> float:
 @pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
 def test_sketch_mlp_run_holds_models_gradient_and_transform(audit):
     # Beyond the data, the models, the workspace and the bins, a run holds
-    # at most four (d,) float64 or intp vectors: the transform's widened
-    # row, the sync point, and either a sync's new mean or one step's
-    # gathered (K, b, p) batch.  The audit centres into the workspace.
-    assert sketch_mlp_run_over_data(audit, test_n=300) < 4
+    # fewer than three (d,) float64 or intp vectors: the sync point, and
+    # either a sync's new mean, one step's gathered (K, b, p) batch or the
+    # (d,) intp row that `sketch.apply` widens.  The audit centres into the
+    # workspace.
+    assert sketch_mlp_run_over_data(audit, test_n=300) < 3
 
 
 def test_sketch_mlp_run_memory_does_not_grow_with_test_n():
     # The test set's (2000, 128) and (2000, 10) activations (2.7 d floats)
     # and the mean model go into the workspace, which the gradient buffer
     # already sizes at K*d: the run keeps the budget of a test set of 300.
-    assert sketch_mlp_run_over_data(audit=False, test_n=2000) < 4
+    assert sketch_mlp_run_over_data(audit=False, test_n=2000) < 3
 
 
 def idx_spec(tmp_path, test_classes=3) -> cs.IdxSpec:

@@ -87,13 +87,26 @@ def test_transform_holds_one_signed_bin_table():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # The uint16 signed bins, plus the (d,) intp row that `apply` hands to
-    # np.bincount.
+    # The uint16 signed bins are the only array the transform holds.
     assert t.bins.dtype == np.uint16 and t.bins.shape == (l, d)
-    assert t._row.dtype == np.intp and t._row.shape == (d,)
     arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) == 2
-    assert held < 2 * l * d + 8 * d + 64 * 1024
+    assert len(arrays) == 1
+    assert held < 2 * l * d + 64 * 1024
+
+
+@pytest.mark.parametrize("l, d, m, bins", [
+    (1, 4, 3, [[0, 5, 300, 7]]),
+    (1, 4, 3, [[0, 5, 6, 1]]),
+    (1, 4, 3, [[0, -1, 2, 3]]),
+    (2, 4, 3, [[0, 1, 2, 3, 4, 5]]),
+    (1, 4, 3, [0, 1, 2, 3]),
+    (1, 4, 3, [[0.0, 1.0, 2.0, 3.0]]),
+], ids=["300-at-m-3", "2m", "negative", "1x6-for-2x4", "one-dim", "float"])
+def test_transform_rejects_a_table_it_cannot_hold(l, d, m, bins):
+    # Narrowed to uint8, 300 would silently become 44, and a table of the
+    # wrong shape would fail only inside `apply`.
+    with pytest.raises(ValueError, match="bins"):
+        sketch.SketchTransform(d=d, l=l, m=m, seed=-1, bins=np.array(bins))
 
 
 @pytest.mark.parametrize("m, dtype", [(1, np.uint8), (128, np.uint8),
@@ -110,7 +123,9 @@ def test_bins_take_the_smallest_dtype_holding_2m_minus_1(m, dtype):
                                   [s[:m] - s[m:] for s in signed])
 
 
-def test_apply_makes_no_d_sized_temporary():
+def test_apply_widens_one_row_at_a_time():
+    # np.bincount widens one row's uint16 bins into an intp temporary and
+    # frees it before the next row: the call peaks at one (d,) intp row.
     d = 100_000
     t = sketch.make_transform(d, 5, 250, seed=3)
     v = np.random.default_rng(3).standard_normal(d)
@@ -120,7 +135,7 @@ def test_apply_makes_no_d_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * d
+    assert peak < 8 * d + 64 * 1024
 
 
 def test_zero_dimensions_rejected():
