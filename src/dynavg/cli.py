@@ -178,9 +178,9 @@ def run_experiment(config_path: str, audit_variance: bool = False) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    print(f"steps={report.final_steps} epochs={report.final_epochs} "
+    print(f"steps={report.final_steps} epochs={len(report.epochs)} "
           f"syncs={report.sync_count} bytes={report.final_bytes} "
-          f"test_accuracy={report.final_test_accuracy:.4f} "
+          f"test_accuracy={report.epochs[-1].test_accuracy:.4f} "
           f"reached_target={report.reached_target}")
     return 0 if report.reached_target else 1
 

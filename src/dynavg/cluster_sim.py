@@ -233,7 +233,8 @@ class BlobsSpec(DatasetSpec):
         # make_blobs' rule, checked where the config is read.
         for key, value, low in (("n", self.n, 1), ("p", self.p, 1),
                                 ("classes", self.num_classes, 2),
-                                ("test_n", self.test_n, 1)):
+                                ("test_n", self.test_n, 1),
+                                ("seed", self.seed or 0, 0)):
             ensure(value >= low, f"blobs {key} must be >= {low}, not {value}")
 
     def shape(self) -> tuple[int, int]:
@@ -312,6 +313,7 @@ class RunConfig(Node):
     def __post_init__(self) -> None:
         for name in ("workers", "batch_size", "max_epochs"):
             ensure(getattr(self, name) >= 1, f"{name} must be >= 1")
+        ensure(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         ensure(0 <= self.accuracy_target <= 1,
                f"accuracy_target {self.accuracy_target} not in [0, 1]")
         ensure(self.model_kind in MODEL_KINDS,
@@ -418,18 +420,26 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
+    """One run's records; its totals are read from the last epoch record."""
+
     steps: StepLog
-    epochs: list
+    epochs: list[EpochRecord]
     ledger: CostLedger
     worker_count: int
-    model_dim: int
-    final_steps: int
-    final_epochs: int
-    final_bytes: int
-    sync_count: int
     reached_target: bool
-    final_test_accuracy: float
     final_mean_params: ParamVector
+
+    @property
+    def final_steps(self) -> int:
+        return self.epochs[-1].steps
+
+    @property
+    def final_bytes(self) -> int:
+        return self.epochs[-1].bytes_total
+
+    @property
+    def sync_count(self) -> int:
+        return self.epochs[-1].syncs
 
 
 # --- the training loop ------------------------------------------------------
@@ -484,8 +494,6 @@ def run(config: RunConfig) -> RunReport:
     epoch_records: list[EpochRecord] = []
     t = 0
     syncs = 0
-    reached = False
-    test_accuracy = 0.0
 
     def reduce(payload, category: str):
         return allreduce_average(payload, ledger, category)
@@ -527,13 +535,9 @@ def run(config: RunConfig) -> RunReport:
             bytes_total=ledger.bytes_total, bytes_state=ledger.bytes_state,
             bytes_sync=ledger.bytes_sync, steps=t, syncs=syncs))
         if test_accuracy >= config.accuracy_target:
-            reached = True
             break
 
     return RunReport(
         steps=step_records, epochs=epoch_records, ledger=ledger,
-        worker_count=k, model_dim=d, final_steps=t,
-        final_epochs=len(epoch_records), final_bytes=ledger.bytes_total,
-        sync_count=syncs, reached_target=reached,
-        final_test_accuracy=test_accuracy,
+        worker_count=k, reached_target=test_accuracy >= config.accuracy_target,
         final_mean_params=average(workers.params))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
-from .schema import Node, child, ensure
+from .schema import Node, ensure
 from .vecmath import (ParamVector, average, dot, norm_sq, ordered_mean,
                       ordered_sum)
 
@@ -218,6 +218,7 @@ class SketchFda(SyncStrategy):
         ensure(self.theta >= 0, "theta must be >= 0")
         ensure(self.rows >= 1 and self.cols >= 1,
                "sketch dimensions must be positive")
+        ensure(self.seed >= 0, f"sketch seed must be >= 0, not {self.seed}")
 
     @property
     def eps(self) -> float:
@@ -273,9 +274,9 @@ class LocalSgd(SyncStrategy):
 @dataclass(frozen=True)
 class FedOpt(SyncStrategy):
     """Periodic rounds: E local epochs, then a server-side optimizer step
-    on the pseudo-gradient (the negated mean client delta).  A `server`
-    node is read over the `server` default (eps 1e-7, not 1e-8); from
-    Python, `replace(FedOpt.server, kind="adam", lr=...)` keeps it too."""
+    on the pseudo-gradient (the negated mean client delta).  From Python,
+    `replace(FedOpt.server, kind="adam", lr=...)` keeps the default
+    server's eps of 1e-7, as a `server` node does."""
 
     server: OptimizerSpec = OptimizerSpec(kind="sgd-momentum", lr=0.316,
                                           eps=1e-7)
@@ -288,12 +289,6 @@ class FedOpt(SyncStrategy):
                f"unknown server optimizer {self.server.kind!r}")
         ensure(not self.server.nesterov and self.server.weight_decay == 0,
                "the server optimizer takes no nesterov or weight_decay")
-
-    @classmethod
-    def from_node(cls, node, **given):
-        server = {**cls.server.to_node(), **child(node, "server")}
-        return super().from_node(node, server=OptimizerSpec.from_node(server),
-                                 **given)
 
     def start(self, d, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch

@@ -5,14 +5,14 @@ Every spec dataclass derives from `Node`, which reads it from a node
 of its own name, or to the key that the class's `node_keys` gives it, which
 may name a child node (`"sketch.rows"` is `rows` in the child node
 `sketch`).  A field whose annotation is a `Node` class is read from, and
-written as, its own child node.  A scalar field's key is coerced by the
-field's annotation (`int`, `float`, `bool`, `str`, or `Optional` of one of
-them) and an absent key is left to the field's class default, so no
-default is stated twice.  An absent or empty (null) child node reads as an
-empty one.  Reading is strict: an int field takes only an integral number,
-a float field any number but a boolean, a bool field only a YAML boolean
-and a str field only a string, and a key that no field maps to is
-rejected.  Invalid nodes raise ValueError.
+written as, its own child node, over its default's node when that default is
+a `Node` (FedOpt's `server`); an absent or null child node reads as empty.  A
+scalar field's key is coerced by the field's annotation (`int`, `float`,
+`bool`, `str`, or `Optional` of one of them) and an absent key is left to the
+field's class default, so no default is stated twice.  Reading is strict: an
+int field takes only an integral number, a float field any number but a
+boolean, a bool field only a YAML boolean and a str field only a string, and
+a key that no field maps to is rejected.  Invalid nodes raise ValueError.
 
 A family base (`SyncStrategy`, `PartitionScheme`, `DatasetSpec`) names its
 `tag` key; each variant holds its name in the ClassVar of that name, and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 from functools import cache
+from numbers import Real
 from typing import ClassVar, Optional, get_type_hints
 
 
@@ -41,15 +42,15 @@ def child(node: dict, key: str) -> dict:
     return value
 
 
-def _int(value) -> int:
-    ensure(not isinstance(value, bool) and float(value).is_integer(),
-           f"{value!r} is not an integer")
-    return int(value)
-
-
 def to_float(value) -> float:
-    ensure(not isinstance(value, bool), f"{value!r} is not a number")
+    ensure(isinstance(value, Real) and not isinstance(value, bool),
+           f"{value!r} is not a number")
     return float(value)
+
+
+def _int(value) -> int:
+    ensure(to_float(value).is_integer(), f"{value!r} is not an integer")
+    return int(value)
 
 
 def to_str(value) -> str:
@@ -120,7 +121,8 @@ class Node:
             parent = child(node, path) if path else node
             hint = hints[f.name]
             if isinstance(hint, type) and issubclass(hint, Node):
-                given[f.name] = hint.pick(child(parent, key))
+                base = {} if f.default is MISSING else f.default.to_node()
+                given[f.name] = hint.pick({**base, **child(parent, key)})
             elif key in parent:
                 given[f.name] = _COERCE[hint](parent[key])
             elif f.default is MISSING and f.default_factory is MISSING:

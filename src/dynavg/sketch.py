@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vecmath import ParamVector
-
 MERSENNE_PRIME = (1 << 31) - 1
 _POLY_DEGREE = 3  # degree-3 polynomial -> 4-wise independence
 

@@ -189,7 +189,10 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
               "linear-fda-no-theta": "'theta'",
               "blobs-n-0": "blobs n must", "blobs-p-0": "blobs p must",
               "blobs-classes-1": "blobs classes must",
-              "blobs-test-n-0": "blobs test_n must"}
+              "blobs-test-n-0": "blobs test_n must",
+              "seed-negative": "config: seed must be >= 0",
+              "sketch-seed-negative": "sketch seed must be >= 0",
+              "blobs-seed-negative": "blobs seed must be >= 0"}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -246,6 +249,13 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"dataset": {**BLOBS, "p": 0}},
     {"dataset": {**BLOBS, "classes": 1}},
     {"dataset": {**BLOBS, "test_n": 0}},
+    {"workers": "3"},
+    {"seed": "7"},
+    {"accuracy_target": "0.5"},
+    {"strategy": {"kind": "linear-fda", "theta": "0.01"}},
+    {"seed": -1},
+    {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"seed": -1}}},
+    {"dataset": {**BLOBS, "seed": -3}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -260,7 +270,9 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "weight-decay-inf", "server-lr-negative", "server-momentum-1",
         "server-beta1-1", "server-eps-negative", "target-nan", "target--3",
         "target-1.5", "blobs-n-0", "blobs-p-0", "blobs-classes-1",
-        "blobs-test-n-0"])
+        "blobs-test-n-0", "workers-string", "seed-string", "target-string",
+        "theta-string", "seed-negative", "sketch-seed-negative",
+        "blobs-seed-negative"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
     mapping = base_mapping(**overrides)
@@ -282,6 +294,14 @@ def test_partition_outside_workers_or_classes_rejected_at_parse(tmp_path,
     with pytest.raises(cli.ConfigError):
         cli.parse_config(mapping)
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+
+
+def test_numpy_scalars_parse_as_numbers():
+    config = cli.parse_config(base_mapping(
+        workers=np.int64(3), accuracy_target=np.float32(0.5),
+        strategy={"kind": "linear-fda", "theta": np.float64(0.01)}))
+    assert config.workers == 3 and config.accuracy_target == 0.5
+    assert config.strategy.theta == 0.01
 
 
 def drop_nulls(node: dict) -> dict:
@@ -387,8 +407,9 @@ def test_idx_theta_profile_matches_the_trained_model(tmp_path):
         strategy={"kind": "linear-fda", "theta_profile": "fl"})
     config = cli.parse_config(mapping)
     report = run(config)
-    assert report.model_dim == 6 * 4 + 4
-    assert config.strategy.theta == pytest.approx(4.91e-5 * report.model_dim)
+    d = report.final_mean_params.size
+    assert d == 6 * 4 + 4
+    assert config.strategy.theta == pytest.approx(4.91e-5 * d)
 
 
 def test_idx_theta_profile_rejects_image_file_as_labels(tmp_path):
@@ -428,6 +449,13 @@ def test_run_experiment_writes_reports(tmp_path, capsys):
     assert events[0]["synced"] is True
     assert events[-1]["bytes_cumulative"] == int(
         float(rows[-1]["bytes_total"]))
+
+
+def test_run_summary_line_of_a_golden_config(capsys):
+    assert cli.main(["run", str(GOLDEN / "linear-fda-k3.yaml")]) == 1
+    assert capsys.readouterr().out == (
+        "steps=36 epochs=3 syncs=7 bytes=3132 test_accuracy=0.5500 "
+        "reached_target=False\n")
 
 
 def test_run_experiment_deterministic_outputs(tmp_path):
@@ -507,10 +535,7 @@ def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):
         log.append(i % 3 == 0, h, None, 0.5, 2 ** 40 + 8 * i)
     report = RunReport(
         steps=log, epochs=[], ledger=CostLedger(), worker_count=7,
-        model_dim=4, final_steps=len(log), final_epochs=0,
-        final_bytes=2 ** 40 + 8 * (len(log) - 1), sync_count=4,
-        reached_target=False, final_test_accuracy=0.0,
-        final_mean_params=np.zeros(4))
+        reached_target=False, final_mean_params=np.zeros(4))
     path = tmp_path / "events.jsonl"
     cli.write_events_jsonl(report, str(path))
     expected = "".join(
