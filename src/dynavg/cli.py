@@ -22,7 +22,7 @@ import csv
 import glob
 import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 from typing import Optional
 
 import yaml
@@ -39,7 +39,7 @@ THETA_COEFFICIENTS = {
     "hpc": 2.74e-5,
 }
 
-METRICS_COLUMNS = [f.name for f in fields(EpochRecord)]
+METRICS_COLUMNS = list(EpochRecord._fields)
 SWEEP_COLUMNS = ["strategy", "theta", "workers", "reached_target", "steps",
                  "bytes", "status", "config"]
 
@@ -92,14 +92,27 @@ def parse_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-# PyYAML's libyaml parser, when built, with the same safe constructor.
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _YamlLoader(yaml.CSafeLoader if yaml.__with_libyaml__
+                  else yaml.SafeLoader):
+    """PyYAML's libyaml parser, when built, with the safe constructor; a
+    key written twice in one mapping raises, and merge keys still merge."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            keys = [self.construct_object(key) for key, _ in node.value
+                    if key.tag != "tag:yaml.org,2002:merge"]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}")
+        return super().construct_mapping(node, deep)
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
-            mapping = yaml.load(f, Loader=_YAML_LOADER)
+            mapping = yaml.load(f, Loader=_YamlLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(mapping)
@@ -119,7 +132,7 @@ def write_metrics_csv(report: RunReport, path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        writer.writerows(astuple(e) for e in report.epochs)
+        writer.writerows(report.epochs)
 
 
 # How `json.dumps` spells the floats that `repr` spells otherwise.
@@ -134,17 +147,15 @@ def _json_float(x: Optional[float]) -> str:
 
 
 def write_events_jsonl(report: RunReport, path: str) -> None:
-    """One line per step, formatted straight from the step log's columns,
-    byte for byte as `json.dumps` renders {"step", "worker_count", "H",
-    "synced", "bytes_cumulative"}: H is `null` when unset and `NaN`,
-    `Infinity` or `-Infinity` when not finite."""
-    log, k = report.steps, report.worker_count
+    """One line per step, formatted from the step log's rows byte for byte
+    as `json.dumps` renders {"step", "worker_count", "H", "synced",
+    "bytes_cumulative"}: H is `null` when unset and `NaN`, `Infinity` or
+    `-Infinity` when not finite."""
+    k = report.worker_count
     lines = (f'{{"step": {t}, "worker_count": {k}, "H": {_json_float(h)}, '
              f'"synced": {"true" if synced else "false"}, '
              f'"bytes_cumulative": {b}}}\n'
-             for t, h, synced, b in zip(
-                 log.column("step"), log.column("h_value"),
-                 log.column("synced"), log.column("bytes_cumulative")))
+             for t, synced, h, _, _, b in report.steps)
     with open(path, "w") as f:
         f.writelines(lines)
 
@@ -211,9 +222,8 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
             report = run_and_write(config)
         except (RunDivergedError, ValueError, TypeError, OSError) as exc:
             print(f"{name}: failed ({exc})", file=sys.stderr)
-            rows.append({"strategy": "", "theta": "", "workers": "",
-                         "reached_target": "", "steps": "", "bytes": "",
-                         "status": "failed", "config": name})
+            rows.append(dict.fromkeys(SWEEP_COLUMNS, "")
+                        | {"status": "failed", "config": name})
             continue
         theta = getattr(config.strategy, "theta", "")
         rows.append({"strategy": config.strategy.kind,
@@ -223,15 +233,9 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
                      "bytes": report.final_bytes,
                      "status": "ok", "config": name})
 
-    def sort_key(row):
-        theta = row["theta"]
-        workers = row["workers"]
-        return (row["strategy"],
-                float(theta) if theta != "" else -1.0,
-                int(workers) if workers != "" else -1,
-                row["config"])
-
-    rows.sort(key=sort_key)
+    rows.sort(key=lambda row: (
+        row["strategy"], -1.0 if row["theta"] == "" else float(row["theta"]),
+        -1 if row["workers"] == "" else row["workers"], row["config"]))
     if output_csv is not None:
         with open(output_csv, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)

@@ -20,8 +20,8 @@ import math
 import os
 from array import array
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, fields
-from typing import ClassVar, Optional
+from dataclasses import astuple, dataclass, field
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -336,8 +336,7 @@ class RunConfig(Node):
 
 # --- run reporting ----------------------------------------------------------
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     synced: bool
     h_value: Optional[float]
@@ -357,7 +356,7 @@ class StepLog:
     `h_value` and `variance` are set; an unset value is stored as 0.0 and
     read back as None, so None, NaN, ±inf and -0.0 all round-trip.  That is
     33 bytes per step; a `StepRecord` with its boxed scalars takes about
-    250, so rows are built only while iterating, from the columns.
+    240, so rows are built only while iterating, from the columns.
     """
 
     def __init__(self) -> None:
@@ -383,31 +382,17 @@ class StepLog:
 
     def __iter__(self) -> Iterator[StepRecord]:
         """The rows, in step order."""
-        return map(StepRecord, *(self.column(f.name)
-                                 for f in fields(StepRecord)))
-
-    def column(self, name: str) -> Iterator:
-        """The `StepRecord` field `name` of every row, in step order,
-        without building the rows."""
-        if name == "step":
-            return iter(range(1, len(self) + 1))
-        if name == "synced":
-            return (bool(f & _SYNCED) for f in self._flags)
-        if name == "h_value":
-            return (h if f & _HAS_H else None
-                    for f, h in zip(self._flags, self._h))
-        if name == "variance":
-            return (v if f & _HAS_VARIANCE else None
-                    for f, v in zip(self._flags, self._variance))
-        if name == "train_loss":
-            return iter(self._loss)
-        if name == "bytes_cumulative":
-            return iter(self._bytes)
-        raise KeyError(f"no StepRecord field {name!r}")
+        flags = self._flags
+        return map(StepRecord._make, zip(
+            range(1, len(self) + 1),
+            (bool(f & _SYNCED) for f in flags),
+            (h if f & _HAS_H else None for f, h in zip(flags, self._h)),
+            (v if f & _HAS_VARIANCE else None
+             for f, v in zip(flags, self._variance)),
+            self._loss, self._bytes))
 
 
-@dataclass
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     test_accuracy: float
     train_loss: float

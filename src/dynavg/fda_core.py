@@ -287,8 +287,7 @@ class FedOpt(SyncStrategy):
         ensure(self.local_epochs >= 1, "local_epochs must be >= 1")
         ensure(self.server.kind in ("sgd-momentum", "adam"),
                f"unknown server optimizer {self.server.kind!r}")
-        ensure(not self.server.nesterov and self.server.weight_decay == 0,
-               "the server optimizer takes no nesterov or weight_decay")
+        ensure(not self.server.nesterov, "the server takes no nesterov")
 
     def start(self, d, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch

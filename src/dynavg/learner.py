@@ -26,7 +26,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,10 @@ IDX_LABELS_MAGIC = 0x00000801
 # between the p inputs and the C outputs.  The only place that says what a
 # model kind is.
 MODEL_KINDS = {"logistic": 0, "mlp": 1}
-OPTIMIZER_KINDS = ("sgd", "sgd-momentum", "adam", "adamw")
+# The fields that each optimizer kind reads besides `lr`.
+OPTIMIZER_KINDS = {"sgd": (), "sgd-momentum": ("momentum", "nesterov"),
+                   "adam": ("beta1", "beta2", "eps"),
+                   "adamw": ("beta1", "beta2", "eps", "weight_decay")}
 INIT_SCHEMES = ("glorot-uniform", "he-normal")
 
 
@@ -276,6 +279,12 @@ class OptimizerSpec(Node):
     def __post_init__(self) -> None:
         ensure(self.kind in OPTIMIZER_KINDS,
                f"unknown optimizer kind {self.kind!r}")
+        # A field the kind does not read keeps its default, but for eps:
+        # FedOpt's default server carries the eps that an adam node inherits.
+        read = ("kind", "lr", "eps", *OPTIMIZER_KINDS[self.kind])
+        for f in fields(self):
+            ensure(f.name in read or getattr(self, f.name) == f.default,
+                   f"{self.kind} optimizer does not read {f.name}")
         for name in ("lr", "weight_decay"):
             value = getattr(self, name)
             ensure(math.isfinite(value) and value >= 0,

@@ -1,7 +1,7 @@
 import csv
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +192,11 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
               "blobs-test-n-0": "blobs test_n must",
               "seed-negative": "config: seed must be >= 0",
               "sketch-seed-negative": "sketch seed must be >= 0",
-              "blobs-seed-negative": "blobs seed must be >= 0"}
+              "blobs-seed-negative": "blobs seed must be >= 0",
+              "adam-weight-decay": "adam optimizer does not read weight_decay",
+              "sgd-nesterov": "sgd optimizer does not read nesterov",
+              "sgd-momentum-beta1": "sgd-momentum optimizer does not read beta1",
+              "server-adam-momentum": "adam optimizer does not read momentum"}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -256,6 +260,11 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"seed": -1},
     {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"seed": -1}}},
     {"dataset": {**BLOBS, "seed": -3}},
+    {"optimizer": {"kind": "adam", "lr": 0.01, "weight_decay": 0.1}},
+    {"optimizer": {"kind": "sgd", "lr": 0.01, "nesterov": True}},
+    {"optimizer": {"kind": "sgd-momentum", "lr": 0.01, "beta1": 0.5}},
+    {"strategy": {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.1,
+                                               "momentum": 0.5}}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -272,7 +281,8 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "target-1.5", "blobs-n-0", "blobs-p-0", "blobs-classes-1",
         "blobs-test-n-0", "workers-string", "seed-string", "target-string",
         "theta-string", "seed-negative", "sketch-seed-negative",
-        "blobs-seed-negative"])
+        "blobs-seed-negative", "adam-weight-decay", "sgd-nesterov",
+        "sgd-momentum-beta1", "server-adam-momentum"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
     mapping = base_mapping(**overrides)
@@ -350,6 +360,40 @@ def test_golden_configs_parse_alike_under_both_yaml_loaders(path):
         with open(path) as f:
             configs.append(cli.parse_config(yaml.load(f, Loader=loader)))
     assert configs[0] == configs[1] == cli.load_config(str(path))
+
+
+K3 = (GOLDEN / "linear-fda-k3.yaml").read_text()
+
+
+@pytest.mark.parametrize("name, text, key", [
+    ("top.yaml", K3 + "workers: 9\n", "'workers'"),
+    ("nested.yaml", K3.replace("theta: 0.01", "theta: 0.01, theta: 0.5"),
+     "'theta'"),
+    ("dup.json", json.dumps(yaml.safe_load(K3))[:-1] + ', "workers": 9}',
+     "'workers'"),
+], ids=["top-level", "nested", "json"])
+def test_load_config_rejects_a_key_written_twice(tmp_path, name, text, key):
+    assert text.count(key.strip("'")) == 2
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError, match=f"duplicate key {key}"):
+        cli.load_config(str(path))
+    assert cli.main(["run", str(path)]) == 2
+    rows = cli.sweep(str(tmp_path))
+    assert [(r["config"], r["status"]) for r in rows] == [(name, "failed")]
+
+
+def test_load_config_merge_keys_still_merge(tmp_path):
+    # A merged key may be overridden by one written out; only an explicit
+    # key written twice is rejected.
+    path = tmp_path / "merge.yaml"
+    path.write_text(yaml.safe_dump(base_mapping(strategy={}))
+                    .replace("optimizer:", "optimizer: &opt")
+                    .replace("strategy: {}", "strategy: {kind: fedopt, "
+                             "server: {<<: *opt, kind: sgd-momentum}}"))
+    config = cli.load_config(str(path))
+    assert config.strategy.server == replace(
+        FedOpt.server, kind="sgd-momentum", lr=0.05)
 
 
 def test_load_config_bad_yaml(tmp_path):
@@ -526,7 +570,7 @@ def test_run_experiment_audit_flag(tmp_path):
 
 
 def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):
-    # The writer formats lines from the log's columns; each must equal
+    # The writer formats lines from the log's rows; each must equal
     # json.dumps of the record dict, whatever the H value.
     h_values = [None, float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
                 0.1, 1e-300, 1e22, 123456789.125, None]

@@ -265,9 +265,9 @@ def test_run_deterministic():
     assert a.sync_count == b.sync_count
     np.testing.assert_array_equal(a.final_mean_params, b.final_mean_params)
     for ra, rb in zip(a.steps, b.steps):
-        assert dataclasses.astuple(ra) == dataclasses.astuple(rb)
+        assert tuple(ra) == tuple(rb)
     for ea, eb in zip(a.epochs, b.epochs):
-        assert dataclasses.astuple(ea) == dataclasses.astuple(eb)
+        assert tuple(ea) == tuple(eb)
 
 
 def test_synchronous_run_ledger_closed_form():
@@ -548,7 +548,7 @@ def test_epoch_records_are_cumulative():
     # the step log.
     assert report.final_bytes == report.ledger.bytes_total
     assert report.final_steps == len(report.steps)
-    assert report.sync_count == sum(report.steps.column("synced"))
+    assert report.sync_count == sum(r.synced for r in report.steps)
 
 
 def test_mlp_run_works():
@@ -685,21 +685,16 @@ def test_step_log_round_trips_none_nan_inf_and_negative_zero():
     assert len(records) == len(STEP_ROWS)
     for i, (row, record) in enumerate(zip(STEP_ROWS, records)):
         assert isinstance(record, cs.StepRecord)
-        assert repr(dataclasses.astuple(record)) == repr((i + 1, *row))
+        assert repr(tuple(record)) == repr((i + 1, *row))
         assert type(record.synced) is bool
 
 
-def test_step_log_reads_rows_and_columns_in_step_order():
-    # Rows are read by iteration, fields by column; the log is not indexed.
+def test_step_log_reads_rows_in_step_order():
+    # Rows are read by iteration only; the log is not indexed.
     log = filled_step_log()
     rows = list(log)
     assert [r.step for r in rows] == list(range(1, len(STEP_ROWS) + 1))
     assert repr(list(log)) == repr(rows)  # each iteration starts afresh
-    for field in dataclasses.fields(cs.StepRecord):
-        assert repr(list(log.column(field.name))) == \
-            repr([getattr(r, field.name) for r in rows])
-    with pytest.raises(KeyError):
-        log.column("H")
     with pytest.raises(TypeError):
         log[0]
     assert len(cs.StepLog()) == 0 and list(cs.StepLog()) == []
