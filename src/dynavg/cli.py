@@ -176,13 +176,10 @@ def run_and_write(config: RunConfig) -> RunReport:
     return report
 
 
-def run_experiment(config_path: str, audit_variance: bool = False) -> int:
+def run_experiment(config_path: str) -> int:
     """Run one config; write reports; return the run's exit code."""
     try:
-        config = load_config(config_path)
-        if audit_variance:
-            config = replace(config, audit_variance=True)
-        report = run_and_write(config)
+        report = run_and_write(load_config(config_path))
     except RunDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
@@ -252,8 +249,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="execute one run config")
     p_run.add_argument("config")
-    p_run.add_argument("--audit-variance", action="store_true",
-                       help="record exact model variance every step")
 
     p_sweep = sub.add_parser("sweep", help="run every config in a directory")
     p_sweep.add_argument("config_dir")
@@ -266,7 +261,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_experiment(args.config, audit_variance=args.audit_variance)
+        return run_experiment(args.config)
     try:
         if args.command == "theta":
             print(theta_preset(args.profile, args.dim))

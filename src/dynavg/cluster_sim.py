@@ -52,7 +52,8 @@ from .vecmath import ParamVector, average, ordered_mean
 
 WIRE_BYTES_PER_ENTRY = 4
 
-# Tags for deriving named sub-seeds from the run seed.
+# Tags for deriving named sub-seeds from the run seed; tag 3 belongs to
+# learner.ShardSampler._STREAM_TAG, the stream of batch orders.
 _SEED_PARTITION = 1
 _SEED_INIT = 2
 _SEED_BLOBS_TRAIN = 4

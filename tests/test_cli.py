@@ -560,13 +560,35 @@ def test_run_experiment_divergence_exit_code(tmp_path):
     assert cli.run_experiment(write_config(tmp_path, mapping)) == 3
 
 
-def test_run_experiment_audit_flag(tmp_path):
-    out_jsonl = str(tmp_path / "ev.jsonl")
-    mapping = base_mapping(strategy={"kind": "linear-fda", "theta": 0.05},
-                           output={"events_jsonl": out_jsonl})
-    code = cli.run_experiment(write_config(tmp_path, mapping),
-                              audit_variance=True)
-    assert code in (0, 1)
+@pytest.mark.parametrize("strategy", [
+    {"kind": "synchronous"},
+    {"kind": "local-sgd", "tau": 3},
+    {"kind": "fedopt", "local_epochs": 1, "server": {"kind": "adam",
+                                                     "lr": 0.1}},
+    {"kind": "linear-fda", "theta": 0.02},
+    {"kind": "sketch-fda", "theta": 0.02,
+     "sketch": {"rows": 3, "cols": 1, "seed": 2}},
+], ids=lambda node: node["kind"])
+def test_audit_is_an_oracle_channel(tmp_path, strategy):
+    # The audit centres the models in the scratch buffer that each hook
+    # then overwrites: it sets every step's exact variance and moves no
+    # other output.
+    reports, outputs = [], []
+    for audit in (False, True):
+        out = tmp_path / str(audit)
+        mapping = base_mapping(
+            workers=3, strategy=strategy, audit_variance=audit,
+            output={"metrics_csv": str(out / "metrics.csv"),
+                    "events_jsonl": str(out / "events.jsonl")})
+        reports.append(cli.run_and_write(cli.parse_config(mapping)))
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.csv", "events.jsonl")])
+    plain, audited = reports
+    assert outputs[0] == outputs[1]
+    assert np.array_equal(plain.final_mean_params, audited.final_mean_params)
+    assert all(step.variance is None for step in plain.steps)
+    assert all(step.variance is not None for step in audited.steps)
+    assert len(audited.steps) > 0
 
 
 def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):

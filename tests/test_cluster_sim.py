@@ -382,6 +382,15 @@ def test_single_node_equivalence_oracle():
     assert distance < 1e-8
 
 
+def test_sub_seed_tags_are_distinct():
+    # Two modules derive streams from one run seed; a shared tag would
+    # silently correlate two of them.
+    tags = [cs._SEED_PARTITION, cs._SEED_INIT,
+            learner.ShardSampler._STREAM_TAG, cs._SEED_BLOBS_TRAIN,
+            cs._SEED_BLOBS_TEST]
+    assert len(set(tags)) == len(tags)
+
+
 def test_local_sgd_sync_cadence():
     cfg = blobs_config(LocalSgd(tau=4), workers=3, max_epochs=2)
     report = cs.run(cfg)

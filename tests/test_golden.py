@@ -7,6 +7,16 @@ every number in them, so a refactor that changes the arithmetic or the
 reduction order shows up here.  The cases run again under CPython 3.12's
 compensated float `sum`, so the bytes cannot depend on the interpreter.
 
+The cases are the YAML files in `golden/`, each run by `dynavg run <config>`
+alone: a config that wants the exact-variance audit says
+`audit_variance: true`.  Every run stops at max_epochs (exit 1).  Some
+cases pin a shape that the others do not:
+
+- linear-fda-uneven-k5: shards of 80, 80, 79, 79, 79, so passes of
+  5, 5, 4, 4, 4 batches;
+- sketch-fda-k3: a 3x4 sketch, the mean of (l, m) rows with m > 1;
+- sketch-fda-mlp-k3: the same sketch on a hidden-layer model.
+
 Regenerate (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,18 +33,7 @@ import yaml
 from dynavg import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# name -> extra `dynavg run` flags; every run stops at max_epochs (exit 1).
-CASES = {
-    "linear-fda-k3": [],
-    # shards of 80, 80, 79, 79, 79: passes of 5, 5, 4, 4, 4 batches
-    "linear-fda-uneven-k5": [],
-    "sketch-fda-audit-k3": ["--audit-variance"],
-    "sketch-fda-k3": [],  # a 3x4 sketch: the mean of (l, m) rows, m > 1
-    "sketch-fda-mlp-k3": [],  # the same sketch on a hidden-layer model
-    "fedopt-adam-k9": [],
-    "local-sgd-adam-k9": [],
-}
+CASES = sorted(path.stem for path in GOLDEN.glob("*.yaml"))
 EXIT_CODE = 1
 
 
@@ -45,11 +44,11 @@ def run_case(name: str, out_dir: Path) -> tuple[int, Path, Path]:
                          "events_jsonl": str(jsonl_path)}
     config = out_dir / "run.yaml"
     config.write_text(yaml.safe_dump(mapping))
-    code = cli.main(["run", str(config), *CASES[name]])
+    code = cli.main(["run", str(config)])
     return code, csv_path, jsonl_path
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", CASES)
 def test_outputs_match_golden(tmp_path, name):
     code, csv_path, jsonl_path = run_case(name, tmp_path)
     assert code == EXIT_CODE
@@ -90,7 +89,7 @@ def test_sum_py312_compensates_floats_only():
     assert sum_py312([float("inf"), 1.0]) == float("inf")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", CASES)
 def test_outputs_do_not_depend_on_builtin_float_sum(tmp_path, monkeypatch,
                                                     name):
     monkeypatch.setattr(builtins, "sum", sum_py312)
@@ -98,7 +97,7 @@ def test_outputs_do_not_depend_on_builtin_float_sum(tmp_path, monkeypatch,
 
 
 def regenerate() -> None:
-    for name in sorted(CASES):
+    for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             code, csv_path, jsonl_path = run_case(name, Path(tmp))
             if code != EXIT_CODE:
