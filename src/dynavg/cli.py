@@ -40,8 +40,6 @@ THETA_COEFFICIENTS = {
 }
 
 METRICS_COLUMNS = list(EpochRecord._fields)
-SWEEP_COLUMNS = ["strategy", "theta", "workers", "reached_target", "steps",
-                 "bytes", "status", "config"]
 
 
 class ConfigError(ValueError):
@@ -193,15 +191,23 @@ def run_experiment(config_path: str) -> int:
     return 0 if report.reached_target else 1
 
 
-def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
-    """Run every config in a directory; aggregate one row per run.
+def _flat(node: dict, prefix: str = "") -> dict:
+    """A config node's values keyed by dotted path (`strategy.sketch.rows`)."""
+    flat = {}
+    for key, value in node.items():
+        flat |= (_flat(value, f"{prefix}{key}.") if isinstance(value, dict)
+                 else {prefix + key: value})
+    return flat
 
-    Each run writes the reports its own `output` node names, as `run`
-    does.  Invalid configs, and runs that diverge or cannot write their
-    reports, produce a row with status "failed" and the sweep continues.
-    Rows are sorted by (strategy, theta, workers).  A `config_dir` that is
-    not a directory, or an unusable `output_csv`, raises OSError before the
-    first run.
+
+def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
+    """Run every config in a directory in file-name order; one row per run:
+    the file name and `status`, then, for a run that finished, its config
+    node by dotted path (`strategy.kind`, `seed`), `reached_target` and its
+    last epoch record.  Each run writes its own reports as `run` does; a
+    config that fails to parse, run or write gets a "failed" row and the
+    sweep continues.  A `config_dir` that is not a directory, or an unusable
+    `output_csv`, raises OSError before the first run.
     """
     if not os.path.isdir(config_dir):
         raise NotADirectoryError(f"config directory {config_dir} is not a "
@@ -213,29 +219,22 @@ def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
         for p in glob.glob(os.path.join(config_dir, pattern)))
     rows = []
     for path in paths:
-        name = os.path.basename(path)
+        row = {"config": os.path.basename(path), "status": "failed"}
         try:
             config = load_config(path)
             report = run_and_write(config)
         except (RunDivergedError, ValueError, TypeError, OSError) as exc:
-            print(f"{name}: failed ({exc})", file=sys.stderr)
-            rows.append(dict.fromkeys(SWEEP_COLUMNS, "")
-                        | {"status": "failed", "config": name})
-            continue
-        theta = getattr(config.strategy, "theta", "")
-        rows.append({"strategy": config.strategy.kind,
-                     "theta": theta, "workers": config.workers,
-                     "reached_target": report.reached_target,
-                     "steps": report.final_steps,
-                     "bytes": report.final_bytes,
-                     "status": "ok", "config": name})
-
-    rows.sort(key=lambda row: (
-        row["strategy"], -1.0 if row["theta"] == "" else float(row["theta"]),
-        -1 if row["workers"] == "" else row["workers"], row["config"]))
+            print(f"{row['config']}: failed ({exc})", file=sys.stderr)
+        else:
+            row |= {"status": "ok", **_flat(config.to_node()),
+                    "reached_target": report.reached_target,
+                    **report.epochs[-1]._asdict()}
+        rows.append(row)
     if output_csv is not None:
+        columns = dict.fromkeys(["config", "status",
+                                 *(key for row in rows for key in row)])
         with open(output_csv, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
+            writer = csv.DictWriter(f, fieldnames=list(columns))
             writer.writeheader()
             writer.writerows(rows)
     return rows
@@ -272,7 +271,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     for row in rows:
         print(f"{row['config']}: status={row['status']} "
-              f"strategy={row['strategy']} bytes={row['bytes']}")
+              f"strategy={row.get('strategy.kind', '')} "
+              f"bytes={row.get('bytes_total', '')}")
     return 0
 
 

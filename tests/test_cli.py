@@ -12,6 +12,7 @@ from dynavg import cli
 from dynavg.cluster_sim import (
     BlobsSpec,
     CostLedger,
+    EpochRecord,
     NonIidLabel,
     RunReport,
     StepLog,
@@ -21,6 +22,7 @@ from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
 GOLDEN = Path(__file__).parent / "golden"
+FRONTIER = Path(__file__).parent.parent / "experiments" / "theta-frontier"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -623,7 +625,7 @@ def test_sweep_empty_directory(tmp_path):
     assert rows == []
     with open(out) as f:
         lines = f.read().splitlines()
-    assert lines == [",".join(cli.SWEEP_COLUMNS)]
+    assert lines == ["config,status"]
 
 
 def test_sweep_missing_directory_is_a_config_error_before_any_run(
@@ -706,11 +708,11 @@ def test_sweep_writes_each_configs_outputs_as_run_does(tmp_path):
         assert swept and swept == (tmp_path / "single" / name).read_bytes()
 
 
-def test_sweep_grid_sorted_and_synchronous_dominates(tmp_path):
+def test_sweep_rows_follow_file_names_and_synchronous_dominates(tmp_path):
     target = 0.85
-    for i, (kind, workers) in enumerate(
-            [("linear-fda", 2), ("linear-fda", 5),
-             ("synchronous", 2), ("synchronous", 5)]):
+    grid = [("synchronous", 5), ("linear-fda", 5), ("synchronous", 2),
+            ("linear-fda", 2)]
+    for i, (kind, workers) in enumerate(grid):
         strategy = {"kind": kind}
         if kind == "linear-fda":
             strategy["theta"] = 0.01
@@ -722,17 +724,74 @@ def test_sweep_grid_sorted_and_synchronous_dominates(tmp_path):
             strategy=strategy)
         write_config(tmp_path, mapping, name=f"cfg{i}.yaml")
     rows = cli.sweep(str(tmp_path), str(tmp_path / "agg.csv"))
-    assert len(rows) == 4
-    assert [r["strategy"] for r in rows] == [
-        "linear-fda", "linear-fda", "synchronous", "synchronous"]
-    assert [r["workers"] for r in rows] == [2, 5, 2, 5]
+    assert [r["config"] for r in rows] == [f"cfg{i}.yaml" for i in range(4)]
+    assert [(r["strategy.kind"], r["workers"]) for r in rows] == grid
     assert all(r["reached_target"] for r in rows)
+    bytes_total = {(r["strategy.kind"], r["workers"]): r["bytes_total"]
+                   for r in rows}
     for k in (2, 5):
-        fda_bytes = [r["bytes"] for r in rows
-                     if r["strategy"] == "linear-fda" and r["workers"] == k][0]
-        sync_bytes = [r["bytes"] for r in rows
-                      if r["strategy"] == "synchronous" and r["workers"] == k][0]
-        assert sync_bytes >= fda_bytes
+        assert bytes_total["synchronous", k] >= bytes_total["linear-fda", k]
+
+
+def test_sweep_row_is_the_runs_records(tmp_path):
+    strategies = {
+        "a_linear.yaml": {"kind": "linear-fda", "theta": 0.05},
+        "b_sketch.yaml": {"kind": "sketch-fda", "theta": 0.05,
+                          "sketch": {"rows": 3, "cols": 2}},
+        "c_fedopt.yaml": {"kind": "fedopt", "server": {"kind": "adam"}}}
+    records = {"config", "status", "reached_target", *EpochRecord._fields}
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    exit_codes, last_epoch = {}, {}
+    for name, strategy in strategies.items():
+        metrics = tmp_path / name / "metrics.csv"
+        path = write_config(configs, base_mapping(
+            strategy=strategy, partition={"scheme": "noniid-label",
+                                          "label": 1},
+            output={"metrics_csv": str(metrics)}), name=name)
+        exit_codes[name] = cli.main(["run", path])
+        with open(metrics) as f:
+            last_epoch[name] = list(csv.DictReader(f))[-1]
+    rows = cli.sweep(str(configs))
+    assert [r["config"] for r in rows] == list(strategies)
+    for row in rows:
+        name = row["config"]
+        config = cli.load_config(str(configs / name))
+        top_keys = set(config.to_node())
+        assert not top_keys & set(EpochRecord._fields)
+        assert not (top_keys | set(EpochRecord._fields)) & {
+            "config", "status", "reached_target"}
+        assert row["status"] == "ok"
+        assert row["reached_target"] == (exit_codes[name] == 0)
+        assert {f: str(row[f]) for f in EpochRecord._fields} \
+            == last_epoch[name]
+        node = {}
+        for key in row.keys() - records:
+            *parents, leaf = key.split(".")
+            parent = node
+            for p in parents:
+                parent = parent.setdefault(p, {})
+            parent[leaf] = row[key]
+        assert cli.parse_config(node) == config
+
+
+def test_committed_theta_frontier_rows_are_current(tmp_path):
+    # The README table comes from the committed sweep CSV; re-running its
+    # two theta_B cells catches a CSV that the program no longer produces.
+    names = ["linear-fda-theta-1x.yaml", "sketch-fda-theta-1x.yaml"]
+    for name in names:
+        (tmp_path / name).write_bytes((FRONTIER / name).read_bytes())
+    out = tmp_path / "sweep.csv"
+    cli.sweep(str(tmp_path), str(out))
+    with open(FRONTIER / "sweep.csv") as f:
+        committed = {r["config"]: r for r in csv.DictReader(f)}
+    with open(out) as f:
+        fresh = list(csv.DictReader(f))
+    assert [r["config"] for r in fresh] == names
+    for row in fresh:
+        expected = committed[row["config"]]
+        assert row["status"] == "ok"
+        assert dict.fromkeys(expected, "") | row == expected
 
 
 # --- command line -----------------------------------------------------------
