@@ -5,21 +5,20 @@ schema.  `RunConfig.from_node` reads it (`schema.Node`); `parse_config`
 then replaces a strategy's `theta_profile` key, which needs the model
 dimension, with the preset `theta` before it builds the strategy.  `run`
 executes it and writes a per-epoch metrics CSV plus a per-step JSONL event
-log.  `sweep` executes every config in a directory, each writing its own
-reports as `run` does, and aggregates one row per run.  `theta` prints a
-threshold preset c * d for a deployment profile.
+log.  `sweep` executes the config files it is given, in that order, each
+writing its own reports as `run` does, and aggregates one row per file.
+`theta` prints a threshold preset c * d for a deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
-still written), 2 config error, 3 divergence.  `sweep` exits 0, or 2 before
-any run when its config directory is not a directory or its `--out` path
-is unusable.  `theta` exits 0, or 2 for a dimension below 1.
+still written), 2 config error, 3 divergence.  `sweep` exits 0 (a config
+that fails is a "failed" row), or 2 before any run when its `--out` path is
+unusable.  `theta` exits 0, or 2 for a dimension below 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import os
 import sys
 from dataclasses import replace
@@ -200,26 +199,21 @@ def _flat(node: dict, prefix: str = "") -> dict:
     return flat
 
 
-def sweep(config_dir: str, output_csv: Optional[str] = None) -> list[dict]:
-    """Run every config in a directory in file-name order; one row per run:
-    the file name and `status`, then, for a run that finished, its config
-    node by dotted path (`strategy.kind`, `seed`), `reached_target` and its
-    last epoch record.  Each run writes its own reports as `run` does; a
-    config that fails to parse, run or write gets a "failed" row and the
-    sweep continues.  A `config_dir` that is not a directory, or an unusable
-    `output_csv`, raises OSError before the first run.
+def sweep(config_paths: list[str],
+          output_csv: Optional[str] = None) -> list[dict]:
+    """Run config files in the order given; one row per file: its base
+    name and `status`, then, for a run that finished, its config node by
+    dotted path (`strategy.kind`, `seed`), `reached_target` and its last
+    epoch record.  Each run writes its own reports as `run` does; a path
+    that cannot be read, parsed, run or written gets a "failed" row and the
+    sweep continues.  An unusable `output_csv` raises OSError before any run.
     """
-    if not os.path.isdir(config_dir):
-        raise NotADirectoryError(f"config directory {config_dir} is not a "
-                                 f"directory")
     if output_csv is not None:
         _ensure_parent(output_csv)
-    paths = sorted(
-        p for pattern in ("*.yaml", "*.yml", "*.json")
-        for p in glob.glob(os.path.join(config_dir, pattern)))
     rows = []
-    for path in paths:
-        row = {"config": os.path.basename(path), "status": "failed"}
+    for path in config_paths:
+        row = {"config": os.path.basename(os.path.normpath(path)),
+               "status": "failed"}
         try:
             config = load_config(path)
             report = run_and_write(config)
@@ -249,8 +243,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="execute one run config")
     p_run.add_argument("config")
 
-    p_sweep = sub.add_parser("sweep", help="run every config in a directory")
-    p_sweep.add_argument("config_dir")
+    p_sweep = sub.add_parser("sweep", help="run config files in order")
+    p_sweep.add_argument("config", nargs="+")
     p_sweep.add_argument("--out", default=None, help="aggregate CSV path")
 
     p_theta = sub.add_parser("theta", help="print a threshold preset")
@@ -265,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "theta":
             print(theta_preset(args.profile, args.dim))
             return 0
-        rows = sweep(args.config_dir, args.out)
+        rows = sweep(args.config, args.out)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,9 @@ from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
 
 
 GOLDEN = Path(__file__).parent / "golden"
-FRONTIER = Path(__file__).parent.parent / "experiments" / "theta-frontier"
+ROOT = Path(__file__).parent.parent
+FRONTIER = ROOT / "experiments" / "theta-frontier"
+HETEROGENEITY = ROOT / "experiments" / "heterogeneity"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -381,7 +383,7 @@ def test_load_config_rejects_a_key_written_twice(tmp_path, name, text, key):
     with pytest.raises(cli.ConfigError, match=f"duplicate key {key}"):
         cli.load_config(str(path))
     assert cli.main(["run", str(path)]) == 2
-    rows = cli.sweep(str(tmp_path))
+    rows = cli.sweep([str(path)])
     assert [(r["config"], r["status"]) for r in rows] == [(name, "failed")]
 
 
@@ -619,35 +621,46 @@ def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):
 
 # --- sweep ------------------------------------------------------------------
 
-def test_sweep_empty_directory(tmp_path):
+def test_sweep_of_no_configs_writes_the_header(tmp_path):
     out = str(tmp_path / "agg.csv")
-    rows = cli.sweep(str(tmp_path), out)
+    rows = cli.sweep([], out)
     assert rows == []
     with open(out) as f:
         lines = f.read().splitlines()
     assert lines == ["config,status"]
 
 
-def test_sweep_missing_directory_is_a_config_error_before_any_run(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
-    # A path that does not exist, and a config file given as the directory.
-    config = write_config(tmp_path, base_mapping())
-    for path in (tmp_path / "no" / "such" / "dir", config):
-        with pytest.raises(OSError):
-            cli.sweep(str(path))
-        assert cli.main(["sweep", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+def test_sweep_unreadable_path_is_a_failed_row(tmp_path, capsys):
+    # A path that does not exist, and a directory, between two good configs;
+    # rows follow the arguments, not the file names.
+    paths = [write_config(tmp_path, base_mapping(), name="z_good.yaml"),
+             str(tmp_path / "no" / "such.yaml"), str(tmp_path) + os.sep,
+             write_config(tmp_path, base_mapping(), name="a_good.yaml")]
+    names = ["z_good.yaml", "such.yaml", tmp_path.name, "a_good.yaml"]
+    out = tmp_path / "agg.csv"
+    rows = cli.sweep(paths, str(out))
+    assert [r["config"] for r in rows] == names
+    assert [r["status"] for r in rows] == ["ok", "failed", "failed", "ok"]
+    assert [len(r) for r in rows[1:3]] == [2, 2]
+    with open(out) as f:
+        assert [r["config"] for r in csv.DictReader(f)] == names
+    capsys.readouterr()
+    assert cli.main(["sweep", *paths]) == 0
+    captured = capsys.readouterr()
+    assert [line.split()[1] for line in captured.out.splitlines()] == [
+        "status=ok", "status=failed", "status=failed", "status=ok"]
+    assert captured.err.count("cannot read config") == 2
 
 
 def test_sweep_marks_failures_and_continues(tmp_path):
-    write_config(tmp_path, base_mapping(), name="a_good.yaml")
-    write_config(tmp_path, base_mapping(
-        strategy={"kind": "linear-fda", "theta": 0.05}), name="b_good.yaml")
     (tmp_path / "c_bad.yaml").write_text("strategy: {kind: warp}")
+    paths = [write_config(tmp_path, base_mapping(), name="a_good.yaml"),
+             write_config(tmp_path, base_mapping(
+                 strategy={"kind": "linear-fda", "theta": 0.05}),
+                 name="b_good.yaml"),
+             str(tmp_path / "c_bad.yaml")]
     out = str(tmp_path / "agg.csv")
-    rows = cli.sweep(str(tmp_path), out)
+    rows = cli.sweep(paths, out)
     assert len(rows) == 3
     statuses = sorted(r["status"] for r in rows)
     assert statuses == ["failed", "ok", "ok"]
@@ -656,12 +669,12 @@ def test_sweep_marks_failures_and_continues(tmp_path):
 
 
 def test_sweep_runs_configs_with_empty_nodes(tmp_path):
-    write_config(tmp_path, base_mapping(), name="a_good.yaml")
-    write_config(tmp_path, base_mapping(model=None, output=None),
-                 name="b_empty_nodes.yaml")
-    write_config(tmp_path, base_mapping(model="logistic"),
-                 name="c_model_not_a_mapping.yaml")
-    rows = cli.sweep(str(tmp_path))
+    rows = cli.sweep([
+        write_config(tmp_path, base_mapping(), name="a_good.yaml"),
+        write_config(tmp_path, base_mapping(model=None, output=None),
+                     name="b_empty_nodes.yaml"),
+        write_config(tmp_path, base_mapping(model="logistic"),
+                     name="c_model_not_a_mapping.yaml")])
     status = {r["config"]: r["status"] for r in rows}
     assert status == {"a_good.yaml": "ok", "b_empty_nodes.yaml": "ok",
                       "c_model_not_a_mapping.yaml": "failed"}
@@ -669,15 +682,13 @@ def test_sweep_runs_configs_with_empty_nodes(tmp_path):
 
 def test_sweep_unusable_out_is_a_config_error_before_any_run(
         tmp_path, capsys, monkeypatch):
-    configs = tmp_path / "configs"
-    configs.mkdir()
-    write_config(configs, base_mapping())
+    config = write_config(tmp_path, base_mapping())
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
     # An existing directory, and a path under a file.
     for out in (tmp_path, blocker / "agg.csv"):
-        assert cli.main(["sweep", str(configs), "--out", str(out)]) == 2
+        assert cli.main(["sweep", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
@@ -690,14 +701,14 @@ def test_sweep_writes_each_configs_outputs_as_run_does(tmp_path):
     strategy = {"kind": "linear-fda", "theta": 0.05}
     configs = tmp_path / "configs"
     configs.mkdir()
-    write_config(configs, base_mapping(strategy=strategy,
-                                       output=outputs("swept")))
     # A report path under a file fails that run's row, not the sweep.
     (tmp_path / "blocker").write_text("")
-    write_config(configs, base_mapping(output={
-        "metrics_csv": str(tmp_path / "blocker" / "m.csv")}),
-        name="unwritable.yaml")
-    rows = cli.sweep(str(configs))
+    rows = cli.sweep([
+        write_config(configs, base_mapping(strategy=strategy,
+                                           output=outputs("swept"))),
+        write_config(configs, base_mapping(output={
+            "metrics_csv": str(tmp_path / "blocker" / "m.csv")}),
+            name="unwritable.yaml")])
     assert {r["config"]: r["status"] for r in rows} == {
         "run.yaml": "ok", "unwritable.yaml": "failed"}
     single = write_config(tmp_path, base_mapping(strategy=strategy,
@@ -712,6 +723,7 @@ def test_sweep_rows_follow_file_names_and_synchronous_dominates(tmp_path):
     target = 0.85
     grid = [("synchronous", 5), ("linear-fda", 5), ("synchronous", 2),
             ("linear-fda", 2)]
+    paths = []
     for i, (kind, workers) in enumerate(grid):
         strategy = {"kind": kind}
         if kind == "linear-fda":
@@ -722,8 +734,8 @@ def test_sweep_rows_follow_file_names_and_synchronous_dominates(tmp_path):
             optimizer={"kind": "sgd", "lr": 0.1},
             workers=workers, max_epochs=30, accuracy_target=target,
             strategy=strategy)
-        write_config(tmp_path, mapping, name=f"cfg{i}.yaml")
-    rows = cli.sweep(str(tmp_path), str(tmp_path / "agg.csv"))
+        paths.append(write_config(tmp_path, mapping, name=f"cfg{i}.yaml"))
+    rows = cli.sweep(paths, str(tmp_path / "agg.csv"))
     assert [r["config"] for r in rows] == [f"cfg{i}.yaml" for i in range(4)]
     assert [(r["strategy.kind"], r["workers"]) for r in rows] == grid
     assert all(r["reached_target"] for r in rows)
@@ -742,7 +754,7 @@ def test_sweep_row_is_the_runs_records(tmp_path):
     records = {"config", "status", "reached_target", *EpochRecord._fields}
     configs = tmp_path / "configs"
     configs.mkdir()
-    exit_codes, last_epoch = {}, {}
+    exit_codes, last_epoch, paths = {}, {}, []
     for name, strategy in strategies.items():
         metrics = tmp_path / name / "metrics.csv"
         path = write_config(configs, base_mapping(
@@ -752,7 +764,8 @@ def test_sweep_row_is_the_runs_records(tmp_path):
         exit_codes[name] = cli.main(["run", path])
         with open(metrics) as f:
             last_epoch[name] = list(csv.DictReader(f))[-1]
-    rows = cli.sweep(str(configs))
+        paths.append(path)
+    rows = cli.sweep(paths)
     assert [r["config"] for r in rows] == list(strategies)
     for row in rows:
         name = row["config"]
@@ -775,15 +788,12 @@ def test_sweep_row_is_the_runs_records(tmp_path):
         assert cli.parse_config(node) == config
 
 
-def test_committed_theta_frontier_rows_are_current(tmp_path):
-    # The README table comes from the committed sweep CSV; re-running its
-    # two theta_B cells catches a CSV that the program no longer produces.
-    names = ["linear-fda-theta-1x.yaml", "sketch-fda-theta-1x.yaml"]
-    for name in names:
-        (tmp_path / name).write_bytes((FRONTIER / name).read_bytes())
+def assert_committed_rows_are_current(directory, names, tmp_path):
+    """Re-sweep some cells of a committed grid in place; their rows must
+    equal the committed CSV's."""
     out = tmp_path / "sweep.csv"
-    cli.sweep(str(tmp_path), str(out))
-    with open(FRONTIER / "sweep.csv") as f:
+    cli.sweep([str(directory / name) for name in names], str(out))
+    with open(directory / "sweep.csv") as f:
         committed = {r["config"]: r for r in csv.DictReader(f)}
     with open(out) as f:
         fresh = list(csv.DictReader(f))
@@ -792,6 +802,53 @@ def test_committed_theta_frontier_rows_are_current(tmp_path):
         expected = committed[row["config"]]
         assert row["status"] == "ok"
         assert dict.fromkeys(expected, "") | row == expected
+
+
+def test_committed_theta_frontier_rows_are_current(tmp_path):
+    # The README table comes from the committed sweep CSV; re-running its
+    # two theta_B cells catches a CSV that the program no longer produces.
+    assert_committed_rows_are_current(
+        FRONTIER, ["linear-fda-theta-1x.yaml", "sketch-fda-theta-1x.yaml"],
+        tmp_path)
+
+
+def test_committed_heterogeneity_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        HETEROGENEITY, ["label-0-linear-fda.yaml"], tmp_path)
+
+
+# A README result column and the sweep CSV column it shows.
+README_COLUMNS = {"strategy": "strategy.kind", "syncs": "syncs",
+                  "bytes_total": "bytes_total", "bytes_state": "bytes_state",
+                  "bytes_sync": "bytes_sync", "steps": "steps"}
+
+
+def readme_result_tables():
+    """Each table of the README's "Results" section, keyed by the `--out`
+    CSV of the `dynavg sweep` command above it, as rows of its cells."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Results\n")[1].split("\n## ")[0]
+    tables, out = {}, None
+    for line in section.splitlines():
+        if line.startswith("dynavg sweep "):
+            out = line.split("--out ")[1].split()[0]
+        elif line.startswith("|") and not line.startswith("|---"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            tables.setdefault(out, []).append(cells)
+    return tables
+
+
+def test_readme_result_tables_match_the_committed_csvs():
+    tables = readme_result_tables()
+    assert sorted(tables) == sorted(
+        str(p.relative_to(ROOT)) for p in ROOT.glob("experiments/*/sweep.csv"))
+    for out, (header, *body) in tables.items():
+        with open(ROOT / out) as f:
+            committed = [[r[c] for c in README_COLUMNS.values()]
+                         for r in csv.DictReader(f)]
+        shown = [[row[header.index(c)].replace(",", "")
+                  for c in README_COLUMNS] for row in body]
+        assert shown == committed, out
 
 
 # --- command line -----------------------------------------------------------
@@ -813,9 +870,6 @@ def test_main_theta_dim_below_one_is_a_config_error(capsys, dim):
 def test_main_run_and_sweep(tmp_path, capsys):
     config = write_config(tmp_path, base_mapping())
     assert cli.main(["run", config]) == 1
-    sweep_dir = tmp_path / "sweepdir"
-    sweep_dir.mkdir()
-    write_config(sweep_dir, base_mapping(), name="one.yaml")
     out = str(tmp_path / "agg.csv")
-    assert cli.main(["sweep", str(sweep_dir), "--out", out]) == 0
+    assert cli.main(["sweep", config, "--out", out]) == 0
     assert os.path.exists(out)
