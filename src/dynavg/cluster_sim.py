@@ -4,8 +4,9 @@ Workers hold private models over disjoint shards of one dataset.  Every
 step each worker optimizes on a local mini-batch; depending on the
 strategy, small monitoring states are averaged (and charged to the cost
 ledger) and a full model average may follow.  All reductions happen in
-ascending worker order, every random choice derives from the run seed, and
-two runs with the same config produce identical reports.
+ascending worker order, every random choice but the sketch hashes (drawn
+from `strategy.sketch.seed`) derives from the run seed, and two runs with
+the same config produce identical reports.
 
 Transmitted payloads are charged at 4 bytes per real entry (the wire cost
 model), independent of the float64 arithmetic used internally.  Each
@@ -226,7 +227,6 @@ class BlobsSpec(DatasetSpec):
     p: int
     num_classes: int
     test_n: int = 1000
-    seed: Optional[int] = None  # derived from the run seed when omitted
     kind: ClassVar[str] = "blobs"
     node_keys: ClassVar[dict] = {"num_classes": "classes"}
 
@@ -234,8 +234,7 @@ class BlobsSpec(DatasetSpec):
         # make_blobs' rule, checked where the config is read.
         for key, value, low in (("n", self.n, 1), ("p", self.p, 1),
                                 ("classes", self.num_classes, 2),
-                                ("test_n", self.test_n, 1),
-                                ("seed", self.seed or 0, 0)):
+                                ("test_n", self.test_n, 1)):
             ensure(value >= low, f"blobs {key} must be >= {low}, not {value}")
 
     def shape(self) -> tuple[int, int]:
@@ -243,14 +242,12 @@ class BlobsSpec(DatasetSpec):
         return self.p, self.num_classes
 
     def load(self, run_seed: int) -> tuple[Dataset, Dataset]:
-        """The (train, test) splits."""
-        if self.seed is None:
-            seeds = (derive_seed(run_seed, _SEED_BLOBS_TRAIN),
-                     derive_seed(run_seed, _SEED_BLOBS_TEST))
-        else:
-            seeds = (self.seed, self.seed + 1)
-        return (make_blobs(self.n, self.p, self.num_classes, seeds[0]),
-                make_blobs(self.test_n, self.p, self.num_classes, seeds[1]))
+        """The (train, test) splits, drawn from two sub-seeds of the run
+        seed."""
+        return (make_blobs(self.n, self.p, self.num_classes,
+                           derive_seed(run_seed, _SEED_BLOBS_TRAIN)),
+                make_blobs(self.test_n, self.p, self.num_classes,
+                           derive_seed(run_seed, _SEED_BLOBS_TEST)))
 
 
 @dataclass(frozen=True)

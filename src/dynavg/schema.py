@@ -8,7 +8,7 @@ may name a child node (`"sketch.rows"` is `rows` in the child node
 written as, its own child node, over its default's node when that default is
 a `Node` (FedOpt's `server`); an absent or null child node reads as empty.  A
 scalar field's key is coerced by the field's annotation (`int`, `float`,
-`bool`, `str`, or `Optional` of one of them) and an absent key is left to the
+`bool`, `str` or `Optional[str]`) and an absent key is left to the
 field's class default, so no default is stated twice.  Reading is strict: an
 int field takes only an integral number, a float field any number but a
 boolean, a bool field only a YAML boolean and a str field only a string, and
@@ -63,12 +63,8 @@ def _bool(value) -> bool:
     return value
 
 
-def _optional(coerce):
-    return lambda value: None if value is None else coerce(value)
-
-
 _COERCE = {int: _int, float: to_float, bool: _bool, str: to_str,
-           Optional[int]: _optional(_int), Optional[str]: _optional(to_str)}
+           Optional[str]: lambda v: None if v is None else to_str(v)}
 
 
 _hints = cache(get_type_hints)  # a class's field annotations, resolved

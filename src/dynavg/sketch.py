@@ -43,25 +43,23 @@ def _poly_hash(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SketchTransform:
-    """Shared projection; fully determined by (d, l, m, seed).
+    """Shared projection: m buckets per row and an (l, d) signed-bin table,
+    whose shape gives the row count l and the input dimension d.
 
     Row i keeps each coordinate's bucket and sign in one signed bin,
     `bins[i, j] = h_i(j) + m * [s_i(j) < 0]`, in [0, 2m).  `bins` is
     read-only, in the smallest unsigned dtype that holds 2m - 1, and is the
-    only array the transform holds.  A table that is not (l, d) integers in
-    [0, 2m) raises ValueError before it is narrowed."""
+    only array the transform holds.  A table that is not a non-empty 2-D
+    integer table in [0, 2m) raises ValueError before it is narrowed."""
 
-    d: int
-    l: int
     m: int
-    seed: int
     bins: np.ndarray  # (l, d) uint8 or wider, values in [0, 2m)
 
     def __post_init__(self) -> None:
         bins = np.asarray(self.bins)
-        if (bins.shape != (self.l, self.d)
+        if (bins.ndim != 2 or bins.size == 0
                 or not np.issubdtype(bins.dtype, np.integer)):
-            raise ValueError(f"bins must be an ({self.l}, {self.d}) integer "
+            raise ValueError(f"bins must be a non-empty (l, d) integer "
                              f"table, not {bins.shape} {bins.dtype}")
         if bins.min() < 0 or bins.max() >= 2 * self.m:
             raise ValueError(f"bins must lie in [0, {2 * self.m}), not "
@@ -103,7 +101,7 @@ def make_transform(d: int, l: int, m: int, seed: int) -> SketchTransform:
     bins = np.empty((l, d), dtype=np.min_scalar_type(2 * m - 1))
     for i in range(l):  # a row's int64 temporaries die before the next's
         bins[i] = _signed_bin_row(idx, m, coeffs[i])
-    return SketchTransform(d=d, l=l, m=m, seed=seed, bins=bins)
+    return SketchTransform(m=m, bins=bins)
 
 
 def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
@@ -112,10 +110,11 @@ def apply(t: SketchTransform, v: np.ndarray) -> AmsSketch:
     Each row sums v into 2m signed bins; the last m (the negative signs)
     are subtracted from the first m.  `np.bincount` widens the row's bins
     into a (d,) intp temporary of its own, which it frees."""
-    if v.shape != (t.d,):
-        raise ValueError(f"vector length {v.shape} does not match transform d={t.d}")
-    rows = np.empty((t.l, t.m), dtype=np.float64)
-    for i in range(t.l):
+    l, d = t.bins.shape
+    if v.shape != (d,):
+        raise ValueError(f"vector length {v.shape} does not match transform d={d}")
+    rows = np.empty((l, t.m), dtype=np.float64)
+    for i in range(l):
         signed = np.bincount(t.bins[i], weights=v, minlength=2 * t.m)
         np.subtract(signed[:t.m], signed[t.m:], out=rows[i])
     return AmsSketch(rows=rows)

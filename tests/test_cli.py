@@ -158,8 +158,7 @@ def test_config_round_trip(tmp_path):
         {"partition": {"scheme": "iid"}},
         {"partition": {"scheme": "noniid-fraction", "percent": 40}},
         {"partition": {"scheme": "noniid-label", "label": 1, "holders": 2}},
-        {"dataset": {"kind": "blobs", "n": 300, "p": 4, "classes": 3,
-                     "seed": 17}},
+        {"dataset": {"kind": "blobs", "n": 300, "p": 4, "classes": 3}},
         {"dataset": {"kind": "idx", **asdict(idx_spec(tmp_path))}},
         {"model": {"kind": "mlp", "hidden": 5, "init": "he-normal"},
          "optimizer": {"kind": "adamw", "lr": 0.002, "beta2": 0.99,
@@ -196,7 +195,7 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
               "blobs-test-n-0": "blobs test_n must",
               "seed-negative": "config: seed must be >= 0",
               "sketch-seed-negative": "sketch seed must be >= 0",
-              "blobs-seed-negative": "blobs seed must be >= 0",
+              "dataset-seed": r"unknown BlobsSpec key\(s\) 'seed'",
               "adam-weight-decay": "adam optimizer does not read weight_decay",
               "sgd-nesterov": "sgd optimizer does not read nesterov",
               "sgd-momentum-beta1": "sgd-momentum optimizer does not read beta1",
@@ -263,7 +262,7 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"strategy": {"kind": "linear-fda", "theta": "0.01"}},
     {"seed": -1},
     {"strategy": {"kind": "sketch-fda", "theta": 0.5, "sketch": {"seed": -1}}},
-    {"dataset": {**BLOBS, "seed": -3}},
+    {"dataset": {**BLOBS, "seed": 17}},
     {"optimizer": {"kind": "adam", "lr": 0.01, "weight_decay": 0.1}},
     {"optimizer": {"kind": "sgd", "lr": 0.01, "nesterov": True}},
     {"optimizer": {"kind": "sgd-momentum", "lr": 0.01, "beta1": 0.5}},
@@ -285,7 +284,7 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "target-1.5", "blobs-n-0", "blobs-p-0", "blobs-classes-1",
         "blobs-test-n-0", "workers-string", "seed-string", "target-string",
         "theta-string", "seed-negative", "sketch-seed-negative",
-        "blobs-seed-negative", "adam-weight-decay", "sgd-nesterov",
+        "dataset-seed", "adam-weight-decay", "sgd-nesterov",
         "sgd-momentum-beta1", "server-adam-momentum"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
@@ -865,6 +864,16 @@ def test_main_theta_dim_below_one_is_a_config_error(capsys, dim):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: model dimension must be >= 1\n"
+
+
+def test_main_run_takes_no_audit_flag(capsys):
+    # The audit is the config's `audit_variance` key alone.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", str(GOLDEN / "sketch-fda-audit-k3.yaml"),
+                  "--audit-variance"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --audit-variance" in \
+        capsys.readouterr().err
 
 
 def test_main_run_and_sweep(tmp_path, capsys):

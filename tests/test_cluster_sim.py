@@ -32,6 +32,20 @@ def blobs_config(strategy, *, workers=3, n=600, p=8, classes=3, batch=16,
         audit_variance=audit)
 
 
+# --- datasets ---------------------------------------------------------------
+
+def test_blobs_come_from_the_run_seed_alone():
+    spec = cs.BlobsSpec(n=50, p=3, num_classes=2, test_n=20)
+    train, test = spec.load(13)
+    for got, n, tag in ((train, 50, cs._SEED_BLOBS_TRAIN),
+                        (test, 20, cs._SEED_BLOBS_TEST)):
+        want = learner.make_blobs(n, 3, 2, cs.derive_seed(13, tag))
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+    np.testing.assert_array_equal(spec.load(13)[0].features, train.features)
+    assert not np.array_equal(spec.load(14)[0].features, train.features)
+
+
 # --- partitioning -----------------------------------------------------------
 
 def check_partition_invariants(shards, n):

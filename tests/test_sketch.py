@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from dynavg import sketch
 
 
-def hand_transform(d, m, buckets, signs):
+def hand_transform(m, buckets, signs):
     """Single-row transform with pinned hashes, for hand-evaluated cases."""
     b = np.array([buckets], dtype=np.int64)
     negative = np.array([signs], dtype=np.float64) < 0
-    return sketch.SketchTransform(d=d, l=1, m=m, seed=-1, bins=b + m * negative)
+    return sketch.SketchTransform(m=m, bins=b + m * negative)
 
 
 def python_poly_hash(d, coeffs):
@@ -87,26 +88,28 @@ def test_transform_holds_one_signed_bin_table():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # The uint16 signed bins are the only array the transform holds.
+    # The uint16 signed bins are the only array the transform holds, and
+    # their shape is its only statement of l and d.
+    assert [f.name for f in dataclasses.fields(t)] == ["m", "bins"]
     assert t.bins.dtype == np.uint16 and t.bins.shape == (l, d)
     arrays = [a for a in vars(t).values() if isinstance(a, np.ndarray)]
     assert len(arrays) == 1
     assert held < 2 * l * d + 64 * 1024
 
 
-@pytest.mark.parametrize("l, d, m, bins", [
-    (1, 4, 3, [[0, 5, 300, 7]]),
-    (1, 4, 3, [[0, 5, 6, 1]]),
-    (1, 4, 3, [[0, -1, 2, 3]]),
-    (2, 4, 3, [[0, 1, 2, 3, 4, 5]]),
-    (1, 4, 3, [0, 1, 2, 3]),
-    (1, 4, 3, [[0.0, 1.0, 2.0, 3.0]]),
-], ids=["300-at-m-3", "2m", "negative", "1x6-for-2x4", "one-dim", "float"])
-def test_transform_rejects_a_table_it_cannot_hold(l, d, m, bins):
-    # Narrowed to uint8, 300 would silently become 44, and a table of the
-    # wrong shape would fail only inside `apply`.
+@pytest.mark.parametrize("bins", [
+    [[0, 5, 300, 7]],
+    [[0, 5, 6, 1]],
+    [[0, -1, 2, 3]],
+    [0, 1, 2, 3],
+    [[0.0, 1.0, 2.0, 3.0]],
+    np.empty((1, 0), dtype=np.int64),
+], ids=["300-at-m-3", "2m", "negative", "one-dim", "float", "empty"])
+def test_transform_rejects_a_table_it_cannot_hold(bins):
+    # Narrowed to uint8, 300 would silently become 44, and a table that is
+    # not a non-empty (l, d) table would fail only inside `apply`.
     with pytest.raises(ValueError, match="bins"):
-        sketch.SketchTransform(d=d, l=l, m=m, seed=-1, bins=np.array(bins))
+        sketch.SketchTransform(m=3, bins=np.array(bins))
 
 
 @pytest.mark.parametrize("m, dtype", [(1, np.uint8), (128, np.uint8),
@@ -172,7 +175,7 @@ def test_apply_dimension_mismatch():
 
 def test_apply_hand_pinned_hashes():
     # h = (0,1,0,1), s = (+,-,+,-), v = [1,2,3,4] -> row [1+3, -2-4]
-    t = hand_transform(4, 2, buckets=[0, 1, 0, 1], signs=[1.0, -1.0, 1.0, -1.0])
+    t = hand_transform(2, buckets=[0, 1, 0, 1], signs=[1.0, -1.0, 1.0, -1.0])
     out = sketch.apply(t, np.array([1.0, 2.0, 3.0, 4.0]))
     np.testing.assert_array_equal(out.rows, [[4.0, -6.0]])
 
@@ -180,7 +183,7 @@ def test_apply_hand_pinned_hashes():
 def test_sketch_add_zero_identity():
     t = sketch.make_transform(30, 3, 10, seed=5)
     a = sketch.apply(t, np.random.default_rng(1).standard_normal(30))
-    out = a.rows + sketch.apply(t, np.zeros(t.d)).rows
+    out = a.rows + sketch.apply(t, np.zeros(30)).rows
     np.testing.assert_array_equal(out, a.rows)
 
 
@@ -222,7 +225,7 @@ def test_transform_tables_read_only():
 
 def test_m2_zero_sketch():
     t = sketch.make_transform(10, 5, 8, seed=1)
-    assert sketch.m2_estimate(sketch.apply(t, np.zeros(t.d))) == 0.0
+    assert sketch.m2_estimate(sketch.apply(t, np.zeros(10))) == 0.0
 
 
 def test_m2_single_row_exact():
