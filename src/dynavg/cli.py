@@ -28,7 +28,7 @@ import yaml
 
 from .cluster_sim import (EpochRecord, RunConfig, RunDivergedError, RunReport,
                           run)
-from .fda_core import SyncStrategy, Synchronous
+from .fda_core import SyncStrategy, Synchronous, VarianceMonitor
 from .learner import param_count
 from .schema import child, to_str
 
@@ -58,10 +58,10 @@ def theta_preset(profile: str, d: int) -> float:
 # --- config parsing ---------------------------------------------------------
 
 def _resolve_theta(node: dict, config: RunConfig) -> dict:
-    """A strategy node whose theta_profile key, when its kind takes a theta,
-    is replaced by that profile's preset at the config's model dimension."""
-    takes_theta = "theta" in SyncStrategy.variant(node).__dataclass_fields__
-    if "theta_profile" not in node or not takes_theta:
+    """A strategy node whose theta_profile key, when its kind is a variance
+    monitor, is replaced by that profile's preset at the model dimension."""
+    monitor = issubclass(SyncStrategy.variant(node), VarianceMonitor)
+    if "theta_profile" not in node or not monitor:
         return node
     if "theta" in node:
         raise ConfigError("give either theta or theta_profile, not both")

@@ -407,10 +407,13 @@ class RunReport:
 
     steps: StepLog
     epochs: list[EpochRecord]
-    ledger: CostLedger
     worker_count: int
     reached_target: bool
     final_mean_params: ParamVector
+
+    @property
+    def ledger(self) -> EpochRecord:
+        return self.epochs[-1]
 
     @property
     def final_steps(self) -> int:
@@ -447,8 +450,8 @@ def run(config: RunConfig) -> RunReport:
     workers' average model is written into the workspace's first d
     entries and evaluated on the test set, each layer's activations going
     into the entries after it; the run stops when test accuracy reaches
-    the target or after max_epochs.  The initial model is held only by the
-    strategy, for as long as it keeps it.
+    the target or after max_epochs.  `strategy.start(w0, steps_per_epoch)`
+    builds the hook; it alone holds the initial model, while it needs it.
     """
     k = config.workers
     train, test = config.dataset.load(config.seed)
@@ -462,7 +465,7 @@ def run(config: RunConfig) -> RunReport:
     # worker starts from a copy, one row of the workers' matrix.
     workers = init_model(*layout, init_scheme=config.init_scheme,
                          seed=derive_seed(config.seed, _SEED_INIT))
-    hook = config.strategy.start(d, workers.params, sampler.batches_per_pass)
+    hook = config.strategy.start(workers.params, sampler.batches_per_pass)
     workers.params = np.tile(workers.params, (k, 1))
     opt = config.optimizer.build((k, d))
     # The run's one workspace.  Its leading (K, d) view is the gradient
@@ -521,6 +524,6 @@ def run(config: RunConfig) -> RunReport:
             break
 
     return RunReport(
-        steps=step_records, epochs=epoch_records, ledger=ledger,
-        worker_count=k, reached_target=test_accuracy >= config.accuracy_target,
+        steps=step_records, epochs=epoch_records, worker_count=k,
+        reached_target=test_accuracy >= config.accuracy_target,
         final_mean_params=average(workers.params))

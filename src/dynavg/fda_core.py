@@ -10,8 +10,9 @@ mean(||u_k||^2) - ||u_bar||^2.  Each worker ships a small local state
 H function computed from the averaged states overestimates the variance,
 deterministically for the scalar-projection summary and probabilistically
 for the sketch summary.  Synchronization fires when H exceeds the
-threshold.  Baseline policies (every step, fixed period, periodic server
-optimization) share the same `SyncStrategy` interface.
+threshold, one `VarianceMonitor` kind per summary.  They and the baseline
+policies (every step, fixed period, periodic server optimization) are
+`SyncStrategy` kinds: `start(w0, steps_per_epoch)` builds a run's hook.
 """
 
 from __future__ import annotations
@@ -166,47 +167,56 @@ def _every_step(t: int, params: np.ndarray, reduce: Reduce,
     return None, reduce(params, "model-sync")
 
 
-def _variance_monitor(theta, w_sync, make_state, h_of,
-                      reads_xi: bool) -> StepHook:
-    """Exchange local states every step; average the models on strict
-    H > theta (ties keep training locally).  The drifts are built in the
-    scratch matrix.  xi is recomputed on a sync only when `make_state`
-    reads it."""
-    xi: Xi = None
-
-    def hook(t: int, params: np.ndarray, reduce: Reduce,
-             scratch: np.ndarray):
-        nonlocal xi, w_sync
-        drift = np.subtract(params, w_sync, out=scratch)
-        h = h_of(reduce(make_state(drift, xi), "state"))
-        if not h > theta:
-            return h, None
-        mean = reduce(params, "model-sync")
-        if reads_xi:
-            xi = compute_xi(mean, w_sync)
-        w_sync = mean
-        return h, mean
-
-    return hook
-
-
 class SyncStrategy(Node):
     """A synchronization policy: a frozen config that validates itself,
     maps to and from its YAML `strategy` node (`kind` names it) and
-    builds a fresh step hook, holding the run's monitor state, per run.
-    A zero threshold degenerates to the every-step hook: monitoring a
-    foregone decision would only add cost."""
+    builds a fresh step hook, holding the run's monitor state, per run."""
 
     tag = "kind"
     kind: ClassVar[str]
 
-    def start(self, d: int, w0: ParamVector, steps_per_epoch: int) -> StepHook:
+    def start(self, w0: ParamVector, steps_per_epoch: int) -> StepHook:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class SketchFda(SyncStrategy):
+class VarianceMonitor:
+    """A `SyncStrategy` mixin: exchange the drifts' local states every step;
+    average the models on strict H > theta (ties keep training locally).
+    A variant defines monitor(d) -> (make_state(drift, xi), h_of(state)),
+    and sets `reads_xi` if make_state reads xi, recomputed on each sync.
+    Zero theta is the every-step hook: a foregone decision needs no monitor."""
+
     theta: float
+    reads_xi: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        ensure(self.theta >= 0, "theta must be >= 0")
+
+    def start(self, w0, steps_per_epoch):
+        if self.theta == 0:
+            return _every_step
+        make_state, h_of = self.monitor(w0.size)
+        theta, reads_xi, w_sync = self.theta, self.reads_xi, w0
+        xi: Xi = None
+
+        def hook(t, params, reduce, scratch):
+            nonlocal xi, w_sync
+            drift = np.subtract(params, w_sync, out=scratch)
+            h = h_of(reduce(make_state(drift, xi), "state"))
+            if not h > theta:
+                return h, None
+            mean = reduce(params, "model-sync")
+            if reads_xi:
+                xi = compute_xi(mean, w_sync)
+            w_sync = mean
+            return h, mean
+
+        return hook
+
+
+@dataclass(frozen=True)
+class SketchFda(VarianceMonitor, SyncStrategy):
     rows: int = 5
     cols: int = 250
     seed: int = 0
@@ -215,45 +225,32 @@ class SketchFda(SyncStrategy):
                                  "seed": "sketch.seed"}
 
     def __post_init__(self) -> None:
-        ensure(self.theta >= 0, "theta must be >= 0")
+        super().__post_init__()
         ensure(self.rows >= 1 and self.cols >= 1,
                "sketch dimensions must be positive")
         ensure(self.seed >= 0, f"sketch seed must be >= 0, not {self.seed}")
 
-    @property
-    def eps(self) -> float:
-        return sk.relative_error(self.cols)
-
-    def start(self, d, w0, steps_per_epoch):
-        if self.theta == 0:
-            return _every_step
+    def monitor(self, d):
         transform = sk.make_transform(d, self.rows, self.cols, self.seed)
-        eps = self.eps
-        return _variance_monitor(
-            self.theta, w0, lambda u, xi: make_local_state_sketch(u, transform),
-            lambda state: h_sketch(state, eps), reads_xi=False)
+        eps = sk.relative_error(self.cols)
+        return (lambda u, xi: make_local_state_sketch(u, transform),
+                lambda state: h_sketch(state, eps))
 
 
 @dataclass(frozen=True)
-class LinearFda(SyncStrategy):
-    theta: float
+class LinearFda(VarianceMonitor, SyncStrategy):
     kind: ClassVar[str] = "linear-fda"
+    reads_xi: ClassVar[bool] = True
 
-    def __post_init__(self) -> None:
-        ensure(self.theta >= 0, "theta must be >= 0")
-
-    def start(self, d, w0, steps_per_epoch):
-        if self.theta == 0:
-            return _every_step
-        return _variance_monitor(self.theta, w0, make_local_state_linear,
-                                 h_linear, reads_xi=True)
+    def monitor(self, d):
+        return make_local_state_linear, h_linear
 
 
 @dataclass(frozen=True)
 class Synchronous(SyncStrategy):
     kind: ClassVar[str] = "synchronous"
 
-    def start(self, d, w0, steps_per_epoch):
+    def start(self, w0, steps_per_epoch):
         return _every_step
 
 
@@ -265,7 +262,7 @@ class LocalSgd(SyncStrategy):
     def __post_init__(self) -> None:
         ensure(self.tau >= 1, "tau must be >= 1")
 
-    def start(self, d, w0, steps_per_epoch):
+    def start(self, w0, steps_per_epoch):
         def hook(t, params, reduce, scratch):
             return None, None if t % self.tau else reduce(params, "model-sync")
         return hook
@@ -289,9 +286,9 @@ class FedOpt(SyncStrategy):
                f"unknown server optimizer {self.server.kind!r}")
         ensure(not self.server.nesterov, "the server takes no nesterov")
 
-    def start(self, d, w0, steps_per_epoch):
+    def start(self, w0, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch
-        state = self.server.build(d)
+        state = self.server.build(w0.shape)
         w_global = w0
 
         def hook(t, params, reduce, scratch):

@@ -11,14 +11,14 @@ import yaml
 from dynavg import cli
 from dynavg.cluster_sim import (
     BlobsSpec,
-    CostLedger,
     EpochRecord,
     NonIidLabel,
     RunReport,
     StepLog,
     run,
 )
-from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
+from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, SketchFda,
+                             Synchronous, SyncStrategy, VarianceMonitor)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +105,26 @@ def test_parse_theta_profile_resolves_against_model_dim():
         strategy={"kind": "linear-fda", "theta_profile": "balanced"}))
     d = 6 * 3 + 3
     assert config.strategy.theta == pytest.approx(3.89e-5 * d)
+
+
+# The fields without a default that a strategy kind needs besides theta.
+REQUIRED_FIELDS = {"local-sgd": {"tau": 3}}
+
+
+@pytest.mark.parametrize("variant", SyncStrategy.__subclasses__(),
+                         ids=lambda variant: variant.kind)
+def test_theta_profile_resolves_under_exactly_the_monitor_kinds(variant):
+    strategy = {"kind": variant.kind, "theta_profile": "balanced",
+                **REQUIRED_FIELDS.get(variant.kind, {})}
+    mapping = base_mapping(strategy=strategy)
+    if issubclass(variant, VarianceMonitor):
+        config = cli.parse_config(mapping)
+        assert type(config.strategy) is variant
+        assert config.strategy.theta == pytest.approx(3.89e-5 * (6 * 3 + 3))
+    else:
+        with pytest.raises(cli.ConfigError,
+                           match=r"unknown \w+ key\(s\) 'theta_profile'"):
+            cli.parse_config(mapping)
 
 
 def test_parse_theta_and_profile_conflict():
@@ -603,7 +623,7 @@ def test_events_jsonl_renders_null_nan_and_infinity_as_json_dumps(tmp_path):
     for i, h in enumerate(h_values):
         log.append(i % 3 == 0, h, None, 0.5, 2 ** 40 + 8 * i)
     report = RunReport(
-        steps=log, epochs=[], ledger=CostLedger(), worker_count=7,
+        steps=log, epochs=[], worker_count=7,
         reached_target=False, final_mean_params=np.zeros(4))
     path = tmp_path / "events.jsonl"
     cli.write_events_jsonl(report, str(path))

@@ -13,7 +13,12 @@ from dynavg.fda_core import (
     LocalSgd,
     SketchFda,
     Synchronous,
+    SyncStrategy,
+    VarianceMonitor,
 )
+
+MONITORS = [kind for kind in SyncStrategy.__subclasses__()
+            if issubclass(kind, VarianceMonitor)]
 
 
 def blobs_config(strategy, *, workers=3, n=600, p=8, classes=3, batch=16,
@@ -361,8 +366,8 @@ def test_infinite_theta_never_syncs():
 
 def test_zero_theta_equals_synchronous_ledger():
     # A zero threshold degenerates to the every-step baseline, bytes and all.
-    for strategy in (LinearFda(theta=0.0), SketchFda(theta=0.0)):
-        fda_report = cs.run(blobs_config(strategy, max_epochs=2))
+    for monitor in MONITORS:
+        fda_report = cs.run(blobs_config(monitor(theta=0.0), max_epochs=2))
         sync_report = cs.run(blobs_config(Synchronous(), max_epochs=2))
         assert fda_report.sync_count == fda_report.final_steps
         assert fda_report.final_bytes == sync_report.final_bytes
@@ -434,7 +439,7 @@ class SyncAtSteps:
     steps: tuple = (2, 5)
     label = "sync-at-steps"
 
-    def start(self, d, w0, steps_per_epoch):
+    def start(self, w0, steps_per_epoch):
         def hook(t, params, reduce, scratch):
             if t not in self.steps:
                 return None, None

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 from dynavg import cluster_sim as cs
 from dynavg import fda_core, sketch, vecmath
-from dynavg.fda_core import FedOpt, LinearFda, LocalSgd, SketchFda, Synchronous
+from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, SketchFda,
+                             Synchronous, SyncStrategy, VarianceMonitor)
+
+# Every strategy kind that is a variance monitor, so each new kind is
+# covered by the tests that iterate over them.
+MONITORS = [kind for kind in SyncStrategy.__subclasses__()
+            if issubclass(kind, VarianceMonitor)]
 
 
 def random_drifts(rng, k, d):
@@ -430,7 +437,7 @@ def scratch_like(params):
 
 def step_once(strategy, params):
     categories = []
-    hook = strategy.start(len(params[0]), np.zeros(len(params[0])), 1)
+    hook = strategy.start(np.zeros(len(params[0])), 1)
     h, common = hook(1, params, recording_reduce(categories),
                      scratch_like(params))
     return h, common, categories
@@ -460,15 +467,15 @@ def test_should_sync_tie_does_not_fire():
 def test_should_sync_zero_theta_fires_on_any_positive_h():
     # theta = 0 degenerates to the every-step hook: no state exchange, and
     # a sync even where the models already agree.
-    for strategy in (LinearFda(theta=0.0), SketchFda(theta=0.0)):
+    for monitor in MONITORS:
         for params in (TWO_DRIFTS, [np.ones(2), np.ones(2)]):
-            h, common, categories = step_once(strategy, params)
+            h, common, categories = step_once(monitor(theta=0.0), params)
             assert h is None and common is not None
             assert categories == ["model-sync"]
 
 
 def test_should_sync_synchronous_always():
-    hook = Synchronous().start(2, np.zeros(2), 1)
+    hook = Synchronous().start(np.zeros(2), 1)
     for t in range(1, 4):
         categories = []
         h, common = hook(t, TWO_DRIFTS, recording_reduce(categories),
@@ -478,18 +485,18 @@ def test_should_sync_synchronous_always():
 
 
 def test_should_sync_local_sgd_counter():
-    hook = LocalSgd(tau=4).start(2, np.zeros(2), 10)
+    hook = LocalSgd(tau=4).start(np.zeros(2), 10)
     assert synced_steps(hook, 12) == [4, 8, 12]
 
 
 def test_should_sync_fedopt_epoch_boundary():
-    hook = FedOpt(local_epochs=2).start(2, np.zeros(2), steps_per_epoch=10)
+    hook = FedOpt(local_epochs=2).start(np.zeros(2), steps_per_epoch=10)
     assert synced_steps(hook, 45) == [20, 40]
 
 
 def test_start_builds_fresh_monitor_state():
     strategy = LinearFda(theta=0.6)
-    hook = strategy.start(2, np.zeros(2), 1)
+    hook = strategy.start(np.zeros(2), 1)
     scratch = scratch_like(TWO_DRIFTS)
     hook(1, TWO_DRIFTS, recording_reduce([]), scratch)  # syncs: xi, w_sync move
     h_after_sync, _ = hook(2, TWO_DRIFTS, recording_reduce([]), scratch)
@@ -514,7 +521,7 @@ def test_hooks_build_the_drift_in_scratch(strategy, syncs, quiet):
     w0 = rng.standard_normal(d)
     params = w0 + rng.standard_normal((k, d))
     scratch = np.empty((k, d))
-    hook = strategy.start(d, w0, 1)
+    hook = strategy.start(w0, 1)
     peaks, synced = [], []
     tracemalloc.start()
     try:
@@ -536,9 +543,8 @@ def fedopt_server(**changes):
 
 def test_validate_strategy():
     invalid = [
-        lambda: LinearFda(theta=-1.0),
-        lambda: LinearFda(theta=float("nan")),
-        lambda: SketchFda(theta=-1.0),
+        *(functools.partial(monitor, theta=theta) for monitor in MONITORS
+          for theta in (-1.0, float("nan"))),
         lambda: SketchFda(theta=0.1, rows=0),
         lambda: SketchFda(theta=0.1, cols=0),
         lambda: LocalSgd(tau=0),
@@ -551,8 +557,8 @@ def test_validate_strategy():
     for make in invalid:
         with pytest.raises(ValueError):
             make()
-    LinearFda(theta=0.0)
-    SketchFda(theta=0.0)
+    for monitor in MONITORS:
+        monitor(theta=0.0)
     LocalSgd(tau=1)
 
 
@@ -560,7 +566,7 @@ def test_validate_strategy():
 
 def server_round(strategy, w_global, params):
     """Run one FedOpt round from `w_global` on the (K, d) worker models."""
-    hook = strategy.start(len(w_global), w_global, 1)
+    hook = strategy.start(w_global, 1)
     h, common = hook(1, params, recording_reduce([]), scratch_like(params))
     assert h is None
     return common
@@ -593,7 +599,7 @@ def test_fedopt_momentum_matches_recurrence():
     rng = np.random.default_rng(12)
     w = rng.standard_normal(d)
     deltas = [rng.standard_normal(d) for _ in range(3)]
-    hook = FedOpt().start(d, w, 1)
+    hook = FedOpt().start(w, 1)
     got = w
     for t, delta in enumerate(deltas, start=1):
         params = (got + delta)[None]
