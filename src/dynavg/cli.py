@@ -1,13 +1,13 @@
 """Experiment front end: config files, runs, sweeps, threshold presets.
 
 A run is described by one YAML (or JSON) file; see the README for the full
-schema.  `RunConfig.from_node` reads it (`schema.Node`); `parse_config`
-then replaces a strategy's `theta_profile` key, which needs the model
-dimension, with the preset `theta` before it builds the strategy.  `run`
-executes it and writes a per-epoch metrics CSV plus a per-step JSONL event
-log.  `sweep` executes the config files it is given, in that order, each
-writing its own reports as `run` does, and aggregates one row per file.
-`theta` prints a threshold preset c * d for a deployment profile.
+schema.  `parse_config` reads it with `RunConfig.from_node` (`schema.Node`)
+under a placeholder strategy node, then builds the strategy from its own
+node, a `theta_profile` key replaced by the preset `theta` at the model
+dimension.  `run` executes it and writes a per-epoch metrics CSV plus a
+per-step JSONL event log.  `sweep` runs the config files it is given, in
+order, each writing its own reports as `run` does, and aggregates one row
+per file.  `theta` prints a threshold preset c * d for a deployment profile.
 
 Exit codes for `run`: 0 target reached, 1 target not reached (reports are
 still written), 2 config error, 3 divergence.  `sweep` exits 0 (a config
@@ -28,7 +28,7 @@ import yaml
 
 from .cluster_sim import (EpochRecord, RunConfig, RunDivergedError, RunReport,
                           run)
-from .fda_core import SyncStrategy, Synchronous, VarianceMonitor
+from .fda_core import SyncStrategy, VarianceMonitor
 from .learner import param_count
 from .schema import child, to_str
 
@@ -80,7 +80,8 @@ def parse_config(mapping: dict) -> RunConfig:
         raise ConfigError("config root must be a mapping")
     try:
         # The strategy is replaced once its theta_profile can resolve.
-        config = RunConfig.from_node(mapping, strategy=Synchronous())
+        config = RunConfig.from_node(
+            dict(mapping, strategy={"kind": "synchronous"}))
         node = _resolve_theta(child(mapping, "strategy"), config)
         return replace(config, strategy=SyncStrategy.pick(node))
     except ConfigError:

@@ -10,9 +10,9 @@ the same config produce identical reports.
 
 Transmitted payloads are charged at 4 bytes per real entry (the wire cost
 model), independent of the float64 arithmetic used internally.  Each
-AllReduce event costs K times one worker's payload: every worker ships it
-once.  Exact-variance audits and per-epoch evaluation read worker models
-through an oracle channel that is never charged.
+AllReduce event charges every worker row that its payload holds, once.
+Exact-variance audits and per-epoch evaluation read worker models through
+an oracle channel that is never charged.
 """
 
 from __future__ import annotations
@@ -189,12 +189,12 @@ class CostLedger:
 
 
 def allreduce_average(payload, ledger: CostLedger, category: str):
-    """Average one payload per worker; charge K times one worker's entries.
+    """Average one payload per worker; charge each worker row it holds.
 
-    A "model-sync" payload is the rows of a (K, d) matrix, averaged in
-    ascending worker order; a "state" payload is one LocalState of K
-    workers, which reports its own entry count and, already holding their
-    mean summary, is returned as it is.
+    A "model-sync" payload is the rows of a (v, d) matrix, averaged in
+    ascending worker order and billed 4*v*d bytes; a "state" payload is one
+    LocalState of v workers, billed 4*v*entries and, already holding their
+    mean summary, returned as it is.  A run's payloads hold all K rows.
     """
     if category == "model-sync" and isinstance(payload, np.ndarray):
         mean = average(payload)  # raises, unbilled, unless (K, d) with K >= 1

@@ -269,14 +269,21 @@ class LocalSgd(SyncStrategy):
 
 
 @dataclass(frozen=True)
+class ServerSpec(OptimizerSpec):
+    """FedOpt's server optimizer: FedAvgM by default, and an adam server
+    keeps eps 1e-7 however the spec is built."""
+
+    kind: str = "sgd-momentum"
+    lr: float = 0.316
+    eps: float = 1e-7
+
+
+@dataclass(frozen=True)
 class FedOpt(SyncStrategy):
     """Periodic rounds: E local epochs, then a server-side optimizer step
-    on the pseudo-gradient (the negated mean client delta).  From Python,
-    `replace(FedOpt.server, kind="adam", lr=...)` keeps the default
-    server's eps of 1e-7, as a `server` node does."""
+    on the pseudo-gradient (the negated mean client delta)."""
 
-    server: OptimizerSpec = OptimizerSpec(kind="sgd-momentum", lr=0.316,
-                                          eps=1e-7)
+    server: ServerSpec = ServerSpec()
     local_epochs: int = 1
     kind: ClassVar[str] = "fedopt"
 

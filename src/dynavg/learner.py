@@ -279,9 +279,7 @@ class OptimizerSpec(Node):
     def __post_init__(self) -> None:
         ensure(self.kind in OPTIMIZER_KINDS,
                f"unknown optimizer kind {self.kind!r}")
-        # A field the kind does not read keeps its default, but for eps:
-        # FedOpt's default server carries the eps that an adam node inherits.
-        read = ("kind", "lr", "eps", *OPTIMIZER_KINDS[self.kind])
+        read = ("kind", "lr", *OPTIMIZER_KINDS[self.kind])
         for f in fields(self):
             ensure(f.name in read or getattr(self, f.name) == f.default,
                    f"{self.kind} optimizer does not read {f.name}")

@@ -5,14 +5,14 @@ Every spec dataclass derives from `Node`, which reads it from a node
 of its own name, or to the key that the class's `node_keys` gives it, which
 may name a child node (`"sketch.rows"` is `rows` in the child node
 `sketch`).  A field whose annotation is a `Node` class is read from, and
-written as, its own child node, over its default's node when that default is
-a `Node` (FedOpt's `server`); an absent or null child node reads as empty.  A
-scalar field's key is coerced by the field's annotation (`int`, `float`,
-`bool`, `str` or `Optional[str]`) and an absent key is left to the
-field's class default, so no default is stated twice.  Reading is strict: an
-int field takes only an integral number, a float field any number but a
-boolean, a bool field only a YAML boolean and a str field only a string, and
-a key that no field maps to is rejected.  Invalid nodes raise ValueError.
+written as, its own child node alone; an absent or null child node reads as
+empty.  A scalar field's key is coerced by the field's annotation (`int`,
+`float`, `bool`, `str` or `Optional[str]`) and an absent key is left to the
+field's class default, so every default is a class default, stated once.
+Reading is strict: an int field takes only an integral number, a float field
+any number but a boolean, a bool field only a YAML boolean and a str field
+only a string, and a key that no field maps to is rejected.  Invalid nodes
+raise ValueError.
 
 A family base (`SyncStrategy`, `PartitionScheme`, `DatasetSpec`) names its
 `tag` key; each variant holds its name in the ClassVar of that name, and
@@ -97,28 +97,25 @@ class Node:
         return variants[name]
 
     @classmethod
-    def pick(cls, node: dict, **given):
+    def pick(cls, node: dict):
         """Build the `variant` that `node` names from it."""
-        return cls.variant(node).from_node(node, **given)
+        return cls.variant(node).from_node(node)
 
     @classmethod
-    def from_node(cls, node: dict, **given):
-        """Build this dataclass from a node; `given` fields are passed as
-        they are.  A missing key of a field without default raises, and so
-        does a key, in the node or a child node, that no field maps to."""
+    def from_node(cls, node: dict):
+        """Build this dataclass from a node; a missing required key raises,
+        and so does a key, here or in a child node, that no field maps to."""
         hints = _hints(cls)
         owned = {"": {cls.tag} if cls.tag else set()}  # child -> its keys
+        given = {}
         for f in fields(cls):
             path, key = _path(cls.node_keys, f.name)
             owned.setdefault(path, set()).add(key)
             owned[""].add(path or key)
-            if f.name in given:
-                continue
             parent = child(node, path) if path else node
             hint = hints[f.name]
             if isinstance(hint, type) and issubclass(hint, Node):
-                base = {} if f.default is MISSING else f.default.to_node()
-                given[f.name] = hint.pick({**base, **child(parent, key)})
+                given[f.name] = hint.pick(child(parent, key))
             elif key in parent:
                 given[f.name] = _COERCE[hint](parent[key])
             elif f.default is MISSING and f.default_factory is MISSING:

@@ -1,7 +1,7 @@
 import csv
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,9 @@ from dynavg.cluster_sim import (
     StepLog,
     run,
 )
-from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, SketchFda,
-                             Synchronous, SyncStrategy, VarianceMonitor)
+from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, ServerSpec,
+                             SketchFda, Synchronous, SyncStrategy,
+                             VarianceMonitor)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,7 +220,10 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
               "adam-weight-decay": "adam optimizer does not read weight_decay",
               "sgd-nesterov": "sgd optimizer does not read nesterov",
               "sgd-momentum-beta1": "sgd-momentum optimizer does not read beta1",
-              "server-adam-momentum": "adam optimizer does not read momentum"}
+              "server-adam-momentum": "adam optimizer does not read momentum",
+              "sgd-eps": "sgd optimizer does not read eps",
+              "sgd-momentum-eps": "sgd-momentum optimizer does not read eps",
+              "server-eps": "sgd-momentum optimizer does not read eps"}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -288,6 +292,9 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"optimizer": {"kind": "sgd-momentum", "lr": 0.01, "beta1": 0.5}},
     {"strategy": {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.1,
                                                "momentum": 0.5}}},
+    {"optimizer": {"kind": "sgd", "lr": 0.01, "eps": 1.0e-6}},
+    {"optimizer": {"kind": "sgd-momentum", "lr": 0.01, "eps": 1.0e-6}},
+    {"strategy": {"kind": "fedopt", "server": {"eps": 1.0e-6}}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -305,7 +312,8 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "blobs-test-n-0", "workers-string", "seed-string", "target-string",
         "theta-string", "seed-negative", "sketch-seed-negative",
         "dataset-seed", "adam-weight-decay", "sgd-nesterov",
-        "sgd-momentum-beta1", "server-adam-momentum"])
+        "sgd-momentum-beta1", "server-adam-momentum", "sgd-eps",
+        "sgd-momentum-eps", "server-eps"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
     mapping = base_mapping(**overrides)
@@ -415,8 +423,7 @@ def test_load_config_merge_keys_still_merge(tmp_path):
                     .replace("strategy: {}", "strategy: {kind: fedopt, "
                              "server: {<<: *opt, kind: sgd-momentum}}"))
     config = cli.load_config(str(path))
-    assert config.strategy.server == replace(
-        FedOpt.server, kind="sgd-momentum", lr=0.05)
+    assert config.strategy.server == ServerSpec(lr=0.05)
 
 
 def test_load_config_bad_yaml(tmp_path):

@@ -11,6 +11,7 @@ from dynavg.fda_core import (
     FedOpt,
     LinearFda,
     LocalSgd,
+    ServerSpec,
     SketchFda,
     Synchronous,
     SyncStrategy,
@@ -457,8 +458,7 @@ def test_run_accepts_any_strategy_with_a_step_hook():
 
 
 def test_fedopt_with_adam_server_runs():
-    strategy = FedOpt(server=dataclasses.replace(FedOpt.server, kind="adam",
-                                                 lr=0.01), local_epochs=1)
+    strategy = FedOpt(server=ServerSpec(kind="adam", lr=0.01), local_epochs=1)
     report = cs.run(blobs_config(strategy, max_epochs=2))
     assert report.sync_count == 2
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import tracemalloc
 
@@ -7,8 +6,9 @@ import pytest
 
 from dynavg import cluster_sim as cs
 from dynavg import fda_core, sketch, vecmath
-from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, SketchFda,
-                             Synchronous, SyncStrategy, VarianceMonitor)
+from dynavg.fda_core import (FedOpt, LinearFda, LocalSgd, ServerSpec,
+                             SketchFda, Synchronous, SyncStrategy,
+                             VarianceMonitor)
 
 # Every strategy kind that is a variance monitor, so each new kind is
 # covered by the tests that iterate over them.
@@ -538,7 +538,7 @@ def test_hooks_build_the_drift_in_scratch(strategy, syncs, quiet):
 
 
 def fedopt_server(**changes):
-    return FedOpt(server=dataclasses.replace(FedOpt.server, **changes))
+    return FedOpt(server=ServerSpec(**changes))
 
 
 def test_validate_strategy():
@@ -612,8 +612,19 @@ def test_fedopt_momentum_matches_recurrence():
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("node, expected", [
+    ({"lr": 0.5}, ("sgd-momentum", 0.5, 0.9, 1e-7)),
+    ({"kind": "adam", "eps": 1.0e-8}, ("adam", 0.316, 0.9, 1e-8)),
+], ids=["lr", "adam-eps"])
+def test_server_node_omits_keys_to_server_spec_defaults(node, expected):
+    # (kind, lr, momentum, eps): the node's keys over ServerSpec's defaults.
+    server = FedOpt.from_node({"kind": "fedopt", "server": node}).server
+    assert (server.kind, server.lr, server.momentum, server.eps) == expected
+    assert type(server) is ServerSpec
+
+
 def test_fedopt_adam_server_builds():
-    # A server node keeps FedOpt's own defaults for the keys it omits.
+    # A server node keeps ServerSpec's defaults for the keys it omits.
     strategy = FedOpt.from_node(
         {"kind": "fedopt", "server": {"kind": "adam", "lr": 0.001}})
     opt = strategy.server.build(6)
