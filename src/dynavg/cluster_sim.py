@@ -32,7 +32,6 @@ from .learner import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     INIT_SCHEMES,
-    MODEL_KINDS,
     Dataset,
     Model,
     OptimizerSpec,
@@ -80,9 +79,10 @@ class PartitionScheme(Node):
     tag = "scheme"
     scheme: ClassVar[str] = "iid"
 
-    def check(self, workers: int, classes: Optional[int]) -> None:
+    def check(self, workers: int, classes: int) -> None:
         """Reject a scheme that the run's workers or its dataset's class
-        count (None when unknown before loading) cannot meet."""
+        count cannot meet: `RunConfig` checks it against `dataset.shape()`
+        and `partition` against the loaded data."""
 
     def split(self, labels, k: int, rng) -> list[np.ndarray]:
         """K index arrays into `labels` (1 <= K <= n), drawn from `rng`."""
@@ -137,13 +137,12 @@ class NonIidLabel(PartitionScheme):
     def check(self, workers, classes):
         ensure(self.holders <= workers, f"partition holders ({self.holders}) "
                f"exceed workers ({workers})")
-        ensure(classes is None or 0 <= self.label < classes,
+        ensure(0 <= self.label < classes,
                f"partition label {self.label} not in [0, {classes})")
 
     def split(self, labels, k, rng):
         held = labels == self.label
         ensure(held.any(), f"label {self.label} not present in dataset")
-        self.check(k, None)
         labelled = np.flatnonzero(held)
         shards = [labelled[i::self.holders] for i in range(self.holders)]
         targets = _target_sizes(len(labels), k)
@@ -172,6 +171,7 @@ def partition(data: Dataset, k: int, scheme: PartitionScheme,
     """Split the dataset into K index arrays of near-equal sizes (they
     differ by <= 1), disjoint and covering it, by the scheme's rule."""
     ensure(1 <= k <= data.n, f"need 1 to {data.n} workers, not {k}")
+    scheme.check(k, data.num_classes)
     return scheme.split(data.labels, k,
                         np.random.default_rng(np.random.SeedSequence(seed)))
 
@@ -212,7 +212,9 @@ def allreduce_average(payload, ledger: CostLedger, category: str):
 
 class DatasetSpec(Node):
     """A frozen dataset config, named by its `kind`: `shape()` gives the
-    run's (p, C) and `load(run_seed)` the (train, test) splits."""
+    run's (p, C) and `load(run_seed)` the (train, test) splits, whose
+    class count is shape's C.  A spec is these two methods: `RunConfig`
+    checks its model layout and partition against `shape()` alone."""
 
     tag = "kind"
     kind: ClassVar[str]
@@ -260,7 +262,6 @@ class IdxSpec(DatasetSpec):
     test_images: str
     test_labels: str
     kind: ClassVar[str] = "idx"
-    num_classes: ClassVar[Optional[int]] = None  # known once labels are read
 
     def __post_init__(self) -> None:
         for path in astuple(self):
@@ -314,17 +315,11 @@ class RunConfig(Node):
         ensure(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         ensure(0 <= self.accuracy_target <= 1,
                f"accuracy_target {self.accuracy_target} not in [0, 1]")
-        ensure(self.model_kind in MODEL_KINDS,
-               f"unknown model kind {self.model_kind!r}")
-        hidden_layers = MODEL_KINDS[self.model_kind]
-        ensure(not hidden_layers or self.hidden >= 1,
-               f"{self.model_kind} model needs hidden >= 1")
-        ensure(hidden_layers or self.hidden == 0,
-               f"{self.model_kind} model has no hidden layer: hidden must "
-               f"be 0, not {self.hidden}")
+        p, classes = self.dataset.shape()
+        param_count(self.model_kind, p, classes, self.hidden)
         ensure(self.init_scheme in INIT_SCHEMES,
                f"unknown init scheme {self.init_scheme!r}")
-        self.partition_scheme.check(self.workers, self.dataset.num_classes)
+        self.partition_scheme.check(self.workers, classes)
         if self.metrics_csv and self.events_jsonl:
             ensure(os.path.realpath(self.metrics_csv)
                    != os.path.realpath(self.events_jsonl),

@@ -103,10 +103,16 @@ class Model:
 
 def _layer_shapes(kind: str, p: int, num_classes: int,
                   hidden: int) -> list[tuple[int, int]]:
-    """(fan_in, fan_out) of each dense layer, input layer first."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    widths = [p] + [hidden] * MODEL_KINDS[kind] + [num_classes]
+    """(fan_in, fan_out) of each dense layer, input layer first: the one
+    check of a layout (a known kind, hidden >= 1 for a kind with a hidden
+    layer and 0 for one without, p >= 1, C >= 2), else ValueError."""
+    ensure(kind in MODEL_KINDS, f"unknown model kind {kind!r}")
+    hidden_layers = MODEL_KINDS[kind]
+    ensure(not hidden_layers or hidden >= 1, f"{kind} model needs hidden >= 1")
+    ensure(hidden_layers or hidden == 0, f"{kind} model has no hidden layer: "
+           f"hidden must be 0, not {hidden}")
+    ensure(p >= 1 and num_classes >= 2, f"invalid dims p={p}, C={num_classes}")
+    widths = [p] + [hidden] * hidden_layers + [num_classes]
     return list(zip(widths[:-1], widths[1:]))
 
 
@@ -138,8 +144,6 @@ def init_model(kind: str, p: int, num_classes: int, hidden: int = 0,
     shapes = _layer_shapes(kind, p, num_classes, hidden)
     if init_scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {init_scheme!r}")
-    if num_classes < 2 or min(map(min, shapes)) < 1:
-        raise ValueError(f"invalid dims p={p}, C={num_classes}, h={hidden}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = []
     for fan_in, fan_out in shapes:

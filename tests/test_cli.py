@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
 FRONTIER = ROOT / "experiments" / "theta-frontier"
 HETEROGENEITY = ROOT / "experiments" / "heterogeneity"
+WORKERS = ROOT / "experiments" / "workers"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -102,9 +103,11 @@ def test_parse_all_strategies():
 
 
 def test_parse_theta_profile_resolves_against_model_dim():
+    # The hidden width enters d: p -> hidden -> C is 6*6 + 6 + 6*3 + 3.
     config = cli.parse_config(base_mapping(
+        model={"kind": "mlp", "hidden": 6},
         strategy={"kind": "linear-fda", "theta_profile": "balanced"}))
-    d = 6 * 3 + 3
+    d = 6 * 6 + 6 + 6 * 3 + 3
     assert config.strategy.theta == pytest.approx(3.89e-5 * d)
 
 
@@ -323,15 +326,23 @@ def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
 
 
-@pytest.mark.parametrize("partition", [
-    {"scheme": "noniid-label", "label": 0, "holders": 3},
-    {"scheme": "noniid-label", "label": 3},
-    {"scheme": "noniid-label", "label": -1},
-], ids=["holders-over-workers", "label-over-classes", "label-negative"])
+@pytest.mark.parametrize("partition,idx", [
+    ({"scheme": "noniid-label", "label": 0, "holders": 3}, False),
+    ({"scheme": "noniid-label", "label": 3}, False),
+    ({"scheme": "noniid-label", "label": -1}, False),
+    ({"scheme": "noniid-label", "label": 3}, True),
+], ids=["holders-over-workers", "label-over-classes", "label-negative",
+        "idx-label-over-classes"])
 def test_partition_outside_workers_or_classes_rejected_at_parse(tmp_path,
-                                                                partition):
-    # base_mapping has 2 workers and 3 blob classes.
+                                                                partition,
+                                                                idx):
+    # base_mapping has 2 workers and 3 blob classes; idx_spec's files hold
+    # 3 classes, which the config reads from its label files.
     mapping = base_mapping(partition=partition)
+    if idx:
+        from test_cluster_sim import idx_spec
+
+        mapping["dataset"] = idx_spec(tmp_path).to_node()
     with pytest.raises(cli.ConfigError):
         cli.parse_config(mapping)
     assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
@@ -841,6 +852,21 @@ def test_committed_theta_frontier_rows_are_current(tmp_path):
 def test_committed_heterogeneity_rows_are_current(tmp_path):
     assert_committed_rows_are_current(
         HETEROGENEITY, ["label-0-linear-fda.yaml"], tmp_path)
+
+
+def test_committed_workers_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        WORKERS, ["k05-linear-fda.yaml"], tmp_path)
+
+
+@pytest.mark.parametrize(
+    "grid", [p for p in sorted((ROOT / "experiments").iterdir())
+             if p.is_dir()], ids=lambda p: p.name)
+def test_committed_csv_rows_are_the_grid_config_files(grid):
+    # A config added to or deleted from a grid without a re-sweep fails.
+    with open(grid / "sweep.csv") as f:
+        rows = [r["config"] for r in csv.DictReader(f)]
+    assert rows == sorted(p.name for p in grid.glob("*.yaml"))
 
 
 # A README result column and the sweep CSV column it shows.

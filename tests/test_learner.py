@@ -298,6 +298,22 @@ def test_model_layout_mismatch_rejected():
         learner.Model("logistic", 4, 3, 0, np.zeros(10))
 
 
+@pytest.mark.parametrize("kind,p,classes,hidden,widths_d", [
+    ("mlp", 4, 3, 0, 3), ("logistic", 4, 3, 3, 15),
+    ("logistic", 0, 3, 0, 3), ("logistic", 4, 1, 0, 5),
+], ids=["mlp-hidden-0", "logistic-hidden-3", "p-0", "classes-1"])
+def test_invalid_layout_rejected_at_every_entry_point(kind, p, classes,
+                                                      hidden, widths_d):
+    # widths_d is what the layer widths alone would count, so the Model
+    # below fails on its layout, not on its parameter length.
+    with pytest.raises(ValueError):
+        learner.param_count(kind, p, classes, hidden)
+    with pytest.raises(ValueError):
+        learner.Model(kind, p, classes, hidden, np.zeros(widths_d))
+    with pytest.raises(ValueError):
+        learner.init_model(kind, p, classes, hidden)
+
+
 # --- loss and gradients -----------------------------------------------------
 
 def test_uniform_model_loss_is_log_c():
