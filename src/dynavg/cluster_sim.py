@@ -52,10 +52,10 @@ from .vecmath import ParamVector, average, ordered_mean
 
 WIRE_BYTES_PER_ENTRY = 4
 
-# Tags for deriving named sub-seeds from the run seed; tag 3 belongs to
-# learner.ShardSampler._STREAM_TAG, the stream of batch orders.
+# Tags of the run seed's named sub-seeds, one per random stream of a run.
 _SEED_PARTITION = 1
 _SEED_INIT = 2
+_SEED_BATCHES = 3
 _SEED_BLOBS_TRAIN = 4
 _SEED_BLOBS_TEST = 5
 
@@ -433,8 +433,9 @@ def run(config: RunConfig) -> RunReport:
     alike.  One flat float64 workspace of max(K*d, d + test activations)
     entries is allocated once; its leading (K, d) view is the gradient
     buffer.  Per step, in lock-step: one `ShardSampler` call draws the
-    (K, b) batch, one row per worker; one `loss_and_grad` call computes
-    all K gradients into the gradient buffer; one `apply_gradient` call
+    (K, b) batch, one row per worker, from the run seed's batch-order
+    stream (seed, `_SEED_BATCHES`); one `loss_and_grad` call computes all
+    K gradients into the gradient buffer; one `apply_gradient` call
     updates the matrix in place; the exact variance is audited if asked;
     and the strategy's step hook, called as hook(t, matrix, reduce, grad)
     with the spent gradient buffer as its scratch, builds all K local
@@ -455,7 +456,8 @@ def run(config: RunConfig) -> RunReport:
 
     shards = partition(train, k, config.partition_scheme,
                        derive_seed(config.seed, _SEED_PARTITION))
-    sampler = ShardSampler(shards, config.batch_size, config.seed)
+    sampler = ShardSampler(shards, config.batch_size,
+                           (config.seed, _SEED_BATCHES))
     # The strategy holds the initial model as long as it needs it; every
     # worker starts from a copy, one row of the workers' matrix.
     workers = init_model(*layout, init_scheme=config.init_scheme,

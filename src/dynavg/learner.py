@@ -371,15 +371,13 @@ class ShardSampler:
     """One (K, b) batch per `next_batch` call, row i from worker i's shard.
 
     Worker i walks its shard in passes of len(shard_i) // b batches,
-    dropping a trailing partial batch, and reshuffles at the start of each
-    of its own passes with a seed derived from (run seed, worker, pass).
+    dropping a trailing partial batch; it reshuffles for its pass p with
+    `SeedSequence((*stream, i, p))`, where a run's `stream` is (seed, tag).
     """
 
-    _STREAM_TAG = 3
-
-    def __init__(self, shards: list, batch_size: int, run_seed: int):
+    def __init__(self, shards: list, batch_size: int, stream: tuple):
         self.shards = [np.asarray(shard) for shard in shards]
-        self.batch_size, self.run_seed = batch_size, run_seed
+        self.batch_size, self.stream = batch_size, stream
         shortest = min(map(len, self.shards), default=0)
         ensure(1 <= batch_size <= shortest,
                f"batch size {batch_size} invalid for shard of {shortest}")
@@ -399,8 +397,7 @@ class ShardSampler:
             b, top = self.batch_size, self.batches_per_pass
             for i, n in enumerate(self._passes):
                 if t % n == 0:
-                    seq = np.random.SeedSequence(
-                        (self.run_seed, self._STREAM_TAG, i, t // n))
+                    seq = np.random.SeedSequence((*self.stream, i, t // n))
                     order = np.random.default_rng(seq).permutation(
                         self.shards[i])[:n * b]
                     self._table[i * top:i * top + n] = order.reshape(n, b)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import statistics
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,6 +28,7 @@ ROOT = Path(__file__).parent.parent
 FRONTIER = ROOT / "experiments" / "theta-frontier"
 HETEROGENEITY = ROOT / "experiments" / "heterogeneity"
 WORKERS = ROOT / "experiments" / "workers"
+SEEDS = ROOT / "experiments" / "seeds"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -859,6 +861,11 @@ def test_committed_workers_rows_are_current(tmp_path):
         WORKERS, ["k05-linear-fda.yaml"], tmp_path)
 
 
+def test_committed_seeds_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        SEEDS, ["seed-10108-linear-fda.yaml"], tmp_path)
+
+
 @pytest.mark.parametrize(
     "grid", [p for p in sorted((ROOT / "experiments").iterdir())
              if p.is_dir()], ids=lambda p: p.name)
@@ -875,13 +882,17 @@ README_COLUMNS = {"strategy": "strategy.kind", "syncs": "syncs",
                   "bytes_sync": "bytes_sync", "steps": "steps"}
 
 
+def readme_results():
+    """The text of the README's "Results" section."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Results\n")[1].split("\n## ")[0]
+
+
 def readme_result_tables():
     """Each table of the README's "Results" section, keyed by the `--out`
     CSV of the `dynavg sweep` command above it, as rows of its cells."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Results\n")[1].split("\n## ")[0]
     tables, out = {}, None
-    for line in section.splitlines():
+    for line in readme_results().splitlines():
         if line.startswith("dynavg sweep "):
             out = line.split("--out ")[1].split()[0]
         elif line.startswith("|") and not line.startswith("|---"):
@@ -901,6 +912,28 @@ def test_readme_result_tables_match_the_committed_csvs():
         shown = [[row[header.index(c)].replace(",", "")
                   for c in README_COLUMNS] for row in body]
         assert shown == committed, out
+
+
+def test_paired_seed_byte_ratios_hold_on_every_seed():
+    # The README's paired ratios: synchronous and sketch-fda each move more
+    # bytes than linear-fda on every seed of the committed grid, so a
+    # re-sweep that flips a sign, or moves a stated figure, fails here.
+    by_seed = {}
+    with open(SEEDS / "sweep.csv") as f:
+        for r in csv.DictReader(f):
+            assert (r["status"], r["reached_target"]) == ("ok", "True")
+            by_seed.setdefault(r["seed"], {})[r["strategy.kind"]] = \
+                int(r["bytes_total"])
+    assert len(by_seed) == 5
+    section = " ".join(readme_results().split())
+    for kind in ("synchronous", "sketch-fda"):
+        ratios = [b[kind] / b["linear-fda"] for b in by_seed.values()]
+        assert min(ratios) > 1, kind
+        stated = (f"- {kind} ÷ linear-fda: median "
+                  f"{statistics.median(ratios):.3g}×, range "
+                  f"{min(ratios):.3g}–{max(ratios):.3g}×, more bytes on "
+                  f"{len(ratios)} of {len(ratios)} seeds")
+        assert stated in section
 
 
 # --- command line -----------------------------------------------------------

@@ -391,7 +391,7 @@ def test_single_node_equivalence_oracle():
                           cs.derive_seed(seed, cs._SEED_PARTITION))
     model = learner.init_model("logistic", train.p, train.num_classes,
                                seed=cs.derive_seed(seed, cs._SEED_INIT))
-    sampler = learner.ShardSampler(shards, b, seed)
+    sampler = learner.ShardSampler(shards, b, (seed, cs._SEED_BATCHES))
     params = model.params.copy()
     for _ in range(report.final_steps):
         batch = sampler.next_batch().ravel()  # worker 0's batch first
@@ -403,12 +403,40 @@ def test_single_node_equivalence_oracle():
 
 
 def test_sub_seed_tags_are_distinct():
-    # Two modules derive streams from one run seed; a shared tag would
-    # silently correlate two of them.
-    tags = [cs._SEED_PARTITION, cs._SEED_INIT,
-            learner.ShardSampler._STREAM_TAG, cs._SEED_BLOBS_TRAIN,
-            cs._SEED_BLOBS_TEST]
-    assert len(set(tags)) == len(tags)
+    # Every stream of a run is a sub-seed of its seed named in cluster_sim's
+    # one tag table; a shared tag would silently correlate two of them.
+    tags = {name: tag for name, tag in vars(cs).items()
+            if name.startswith("_SEED_")}
+    assert sorted(tags) == ["_SEED_BATCHES", "_SEED_BLOBS_TEST",
+                            "_SEED_BLOBS_TRAIN", "_SEED_INIT",
+                            "_SEED_PARTITION"]
+    assert len(set(tags.values())) == len(tags)
+
+
+def test_run_draws_batches_from_the_tables_stream(monkeypatch):
+    # Shards of 80, 80, 79, 79, 79 give passes of 10, 10, 9, 9 and 9
+    # batches, so the workers reshuffle at different steps.
+    k, b, seed = 5, 8, 31
+    cfg = blobs_config(Synchronous(), workers=k, n=397, batch=b, seed=seed)
+    drawn = []
+    next_batch = learner.ShardSampler.next_batch
+
+    def record(self):
+        drawn.append(next_batch(self))
+        return drawn[-1]
+
+    monkeypatch.setattr(learner.ShardSampler, "next_batch", record)
+    report = cs.run(cfg)
+    monkeypatch.undo()
+    assert len(drawn) == report.final_steps == 30
+
+    train, _ = cfg.dataset.load(seed)
+    shards = cs.partition(train, k, cs.Iid(),
+                          cs.derive_seed(seed, cs._SEED_PARTITION))
+    assert [len(shard) // b for shard in shards] == [10, 10, 9, 9, 9]
+    sampler = learner.ShardSampler(shards, b, (seed, cs._SEED_BATCHES))
+    for batch in drawn:
+        np.testing.assert_array_equal(batch, sampler.next_batch())
 
 
 def test_local_sgd_sync_cadence():

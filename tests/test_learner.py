@@ -623,12 +623,12 @@ def test_argmax_ties_break_to_lowest_class():
 
 # --- batch sampling ---------------------------------------------------------
 
-def reference_batches(shard, batch_size, run_seed, worker):
+def reference_batches(shard, batch_size, stream, worker):
     """The per-worker sampling rule, one worker at a time: passes of
     len(shard) // b batches, each over a fresh permutation seeded by
-    (run seed, 3, worker, pass), the trailing partial batch dropped."""
+    (*stream, worker, pass), the trailing partial batch dropped."""
     for pass_index in itertools.count():
-        seq = np.random.SeedSequence((run_seed, 3, worker, pass_index))
+        seq = np.random.SeedSequence((*stream, worker, pass_index))
         order = np.random.default_rng(seq).permutation(shard)
         for start in range(0, len(order) - batch_size + 1, batch_size):
             yield order[start:start + batch_size]
@@ -636,8 +636,8 @@ def reference_batches(shard, batch_size, run_seed, worker):
 
 def test_sampler_deterministic_and_covering():
     shards = [np.arange(100, 120), np.arange(200, 215)]
-    a = learner.ShardSampler(shards, 5, run_seed=1)
-    b = learner.ShardSampler(shards, 5, run_seed=1)
+    a = learner.ShardSampler(shards, 5, stream=(1,))
+    b = learner.ShardSampler(shards, 5, stream=(1,))
     first_pass = np.stack([a.next_batch() for _ in range(4)], axis=1)
     np.testing.assert_array_equal(
         first_pass, np.stack([b.next_batch() for _ in range(4)], axis=1))
@@ -648,7 +648,7 @@ def test_sampler_deterministic_and_covering():
 
 def test_sampler_reshuffles_between_passes():
     s = learner.ShardSampler([np.arange(60), np.arange(60, 120)], 10,
-                             run_seed=2)
+                             stream=(2,))
     passes = np.stack([s.next_batch() for _ in range(12)], axis=1)
     for row in passes.reshape(2, 2, 60):  # worker, pass, samples
         assert sorted(row[0]) == sorted(row[1])
@@ -657,7 +657,7 @@ def test_sampler_reshuffles_between_passes():
 
 def test_sampler_drops_trailing_partial_batch():
     s = learner.ShardSampler([np.arange(13), np.arange(13, 23)], 5,
-                             run_seed=3)
+                             stream=(3,))
     assert s.batches_per_pass == 2
     batches = [s.next_batch() for _ in range(4)]
     assert all(b.shape == (2, 5) for b in batches)
@@ -671,12 +671,12 @@ def test_sampler_rejects_oversized_batch():
                                ([np.arange(4)], 0),
                                ([], 1)):
         with pytest.raises(ValueError):
-            learner.ShardSampler(shards, batch_size, run_seed=0)
+            learner.ShardSampler(shards, batch_size, stream=(0,))
 
 
 def test_workers_draw_different_batches():
     shard = np.arange(50)
-    batch = learner.ShardSampler([shard, shard], 10, run_seed=7).next_batch()
+    batch = learner.ShardSampler([shard, shard], 10, stream=(7,)).next_batch()
     assert not np.array_equal(batch[0], batch[1])
 
 
@@ -687,10 +687,10 @@ def test_workers_draw_different_batches():
 def test_sampler_matches_per_worker_reference(lengths, batch_size):
     rng = np.random.default_rng(5)
     shards = np.split(rng.permutation(sum(lengths)), np.cumsum(lengths)[:-1])
-    sampler = learner.ShardSampler(shards, batch_size, run_seed=11)
+    sampler = learner.ShardSampler(shards, batch_size, stream=(11, 7))
     passes = [len(shard) // batch_size for shard in shards]
     assert sampler.batches_per_pass == max(passes)
-    streams = [reference_batches(shard, batch_size, 11, i)
+    streams = [reference_batches(shard, batch_size, (11, 7), i)
                for i, shard in enumerate(shards)]
     for _ in range(3 * max(passes) + 1):  # 3+ passes of every worker
         np.testing.assert_array_equal(
