@@ -29,8 +29,6 @@ import numpy as np
 from . import fda_core
 from .fda_core import LocalState, SyncStrategy
 from .learner import (
-    IDX_IMAGES_MAGIC,
-    IDX_LABELS_MAGIC,
     INIT_SCHEMES,
     Dataset,
     Model,
@@ -45,7 +43,6 @@ from .learner import (
     loss_and_grad,
     make_blobs,
     param_count,
-    read_idx,
 )
 from .schema import Node, ensure
 from .vecmath import ParamVector, average, ordered_mean
@@ -254,8 +251,8 @@ class BlobsSpec(DatasetSpec):
 
 @dataclass(frozen=True)
 class IdxSpec(DatasetSpec):
-    """IDX image/label files, optionally gzipped.  Both splits share one
-    class count: one more than the largest label of either."""
+    """IDX image/label files, optionally gzipped.  Their (p, C) is
+    `learner.idx_shape`'s, read once, when the spec is built."""
 
     train_images: str
     train_labels: str
@@ -266,21 +263,17 @@ class IdxSpec(DatasetSpec):
     def __post_init__(self) -> None:
         for path in astuple(self):
             ensure(os.path.exists(path), f"dataset file not found: {path}")
+        object.__setattr__(self, "_shape", idx_shape(
+            self.train_images, self.train_labels, self.test_labels))
 
     def shape(self) -> tuple[int, int]:
         """(p, C), from the image header and the label files."""
-        dims = idx_shape(self.train_images, IDX_IMAGES_MAGIC, "images")
-        labels = [read_idx(path, IDX_LABELS_MAGIC, "labels")
-                  for path in (self.train_labels, self.test_labels)]
-        return math.prod(dims[1:]), 1 + max(int(y.max()) for y in labels)
+        return self._shape
 
     def load(self, run_seed: int) -> tuple[Dataset, Dataset]:
         """The (train, test) splits; the run seed is not used."""
-        train = load_idx(self.train_images, self.train_labels)
-        test = load_idx(self.test_images, self.test_labels)
-        train.num_classes = test.num_classes = max(train.num_classes,
-                                                   test.num_classes)
-        return train, test
+        return (load_idx(self.train_images, self.train_labels, self._shape[1]),
+                load_idx(self.test_images, self.test_labels, self._shape[1]))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -423,19 +425,20 @@ def _idx_header(f, path: str, expected_magic: int, what: str) -> tuple:
     return struct.unpack(f">{ndim}I", raw)
 
 
-def _open_idx(path: str):
-    return (gzip.open if str(path).endswith(".gz") else open)(path, "rb")
-
-
-def idx_shape(path: str, expected_magic: int, what: str) -> tuple:
-    """Dimensions of an IDX file, read from its header alone."""
-    with _open_idx(path) as f:
-        return _idx_header(f, path, expected_magic, what)
+@contextmanager
+def _open_idx(path: str, what: str):
+    """An open IDX file; a damaged gzip stream raises IdxFormatError."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rb") as f:
+            yield f
+    except (EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"{what} file {path} is damaged: {exc}") from exc
 
 
 def read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
     """The uint8 contents of an IDX file, shaped by its header."""
-    with _open_idx(path) as f:
+    with _open_idx(path, what) as f:
         dims = _idx_header(f, path, expected_magic, what)
         body = np.frombuffer(f.read(), dtype=np.uint8)
     if len(body) != math.prod(dims):
@@ -444,7 +447,17 @@ def read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
     return body.reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
+def idx_shape(images_path: str, *labels_paths: str) -> tuple[int, int]:
+    """(p, C) of IDX data: p from the image header alone, C one more than
+    the largest label in any of the label files."""
+    with _open_idx(images_path, "images") as f:
+        dims = _idx_header(f, images_path, IDX_IMAGES_MAGIC, "images")
+    top = max(int(read_idx(path, IDX_LABELS_MAGIC, "labels").max())
+              for path in labels_paths)
+    return math.prod(dims[1:]), top + 1
+
+
+def load_idx(images_path: str, labels_path: str, num_classes: int) -> Dataset:
     """Load an IDX image/label pair; pixels are scaled into [0, 1]."""
     images = read_idx(images_path, IDX_IMAGES_MAGIC, "images")
     labels = read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
@@ -454,9 +467,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             f"label count {labels.shape[0]}")
     features = images.reshape(images.shape[0], -1).astype(np.float64)
     features /= 255.0  # in place: no second float64 copy
-    labels = labels.astype(np.int64)
-    return Dataset(features=features, labels=labels,
-                   num_classes=int(labels.max()) + 1)
+    return Dataset(features=features, labels=labels.astype(np.int64),
+                   num_classes=num_classes)
 
 
 def make_blobs(n: int, p: int, num_classes: int, seed: int) -> Dataset:

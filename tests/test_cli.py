@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import statistics
@@ -511,6 +512,102 @@ def test_idx_theta_profile_rejects_image_file_as_labels(tmp_path):
         strategy={"kind": "linear-fda", "theta_profile": "fl"})
     with pytest.raises(cli.ConfigError, match="magic"):
         cli.parse_config(mapping)
+
+
+def idx_mapping(tmp_path, **overrides):
+    """A linear-fda config with a theta_profile over seeded IDX files:
+    gzipped 4x5 images, plain labels, and a test split holding a class (3)
+    that the train split lacks."""
+    from test_learner import write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(35)
+    dataset = {"kind": "idx"}
+    for split, n, classes in (("train", 180, 3), ("test", 60, 4)):
+        labels = rng.integers(0, classes, size=n, dtype=np.uint8)
+        images = rng.integers(0, 64, size=(n, 4, 5), dtype=np.uint8)
+        images += (64 * labels)[:, None, None]
+        dataset[f"{split}_images"] = str(tmp_path / f"{split}-images.idx.gz")
+        dataset[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+        write_idx_images(dataset[f"{split}_images"], images, gz=True)
+        write_idx_labels(dataset[f"{split}_labels"], labels)
+    return base_mapping(**{
+        "dataset": dataset, "workers": 3, "batch_size": 8, "max_epochs": 3,
+        "strategy": {"kind": "linear-fda", "theta_profile": "fl"},
+        **overrides})
+
+
+# sha256 of the reports of the `idx_mapping` run: reading the IDX files
+# and counting their classes must not move a byte.
+IDX_RUN_SHA256 = {
+    "metrics.csv":
+        "d141b1476d3207359020afb7fb340bfa07613d4450b0b114c953ea0f33835b23",
+    "events.jsonl":
+        "1210fb48db7d310ec4982cc0d6cb7fcc3d7bec741f632d7705f15317ab9365a5",
+}
+
+
+def test_idx_run_outputs_are_pinned(tmp_path):
+    output = {"metrics_csv": str(tmp_path / "metrics.csv"),
+              "events_jsonl": str(tmp_path / "events.jsonl")}
+    config = write_config(tmp_path, idx_mapping(tmp_path, output=output))
+    assert cli.main(["run", config]) == 1
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in IDX_RUN_SHA256}
+    assert digests == IDX_RUN_SHA256
+
+
+def test_idx_config_reads_each_file_once(tmp_path, monkeypatch):
+    # Parsing reads the image header and each label file once; the run
+    # then reads each of the four files once.
+    from dynavg import learner
+
+    opened, read = [], []
+    open_idx, read_idx = learner._open_idx, learner.read_idx
+
+    def counting_open(path, *args):
+        opened.append(path)
+        return open_idx(path, *args)
+
+    def counting_read(path, *args):
+        read.append(path)
+        return read_idx(path, *args)
+
+    monkeypatch.setattr(learner, "_open_idx", counting_open)
+    monkeypatch.setattr(learner, "read_idx", counting_read)
+    mapping = idx_mapping(tmp_path)
+    files = mapping["dataset"]
+    config = cli.parse_config(mapping)
+    labels = sorted([files["train_labels"], files["test_labels"]])
+    assert sorted(read) == labels
+    assert sorted(opened) == sorted([files["train_images"], *labels])
+    del opened[:], read[:]
+    run(config)
+    paths = sorted(path for key, path in files.items() if key != "kind")
+    assert sorted(read) == sorted(opened) == paths
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_damaged_gzip_idx_file_is_a_config_error(tmp_path, capsys, damage):
+    from test_learner import damage_gzip
+
+    mapping = idx_mapping(tmp_path)
+    damage_gzip(mapping["dataset"]["train_images"], damage)
+    assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+    assert "images file" in capsys.readouterr().err
+
+
+def test_sweep_records_a_damaged_idx_config_and_goes_on(tmp_path):
+    from test_learner import damage_gzip
+
+    mapping = idx_mapping(tmp_path)
+    damage_gzip(mapping["dataset"]["train_images"], "truncated")
+    paths = [write_config(tmp_path, mapping, name="a_damaged.yaml"),
+             write_config(tmp_path, base_mapping(), name="b_blobs.yaml")]
+    out = tmp_path / "agg.csv"
+    assert cli.main(["sweep", *paths, "--out", str(out)]) == 0
+    with open(out) as f:
+        rows = [(r["config"], r["status"]) for r in csv.DictReader(f)]
+    assert rows == [("a_damaged.yaml", "failed"), ("b_blobs.yaml", "ok")]
 
 
 # --- run_experiment ---------------------------------------------------------

@@ -692,7 +692,6 @@ def test_idx_load_reads_each_file_once(tmp_path, monkeypatch):
         return read(path, *args)
 
     monkeypatch.setattr(learner, "read_idx", counting_read)
-    monkeypatch.setattr(cs, "read_idx", counting_read)
     monkeypatch.setattr(cs, "idx_shape", lambda *a: pytest.fail("header"))
     train, test = spec.load(run_seed=0)
     assert sorted(paths) == sorted(dataclasses.astuple(spec))  # 4 reads

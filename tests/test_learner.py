@@ -716,6 +716,19 @@ def write_idx_labels(path, labels, gz=False, magic=None):
         f.write(blob)
 
 
+def damage_gzip(path, damage):
+    """Rewrite a gzipped file with its stream cut in half ("truncated") or
+    its first deflate block of the reserved type ("corrupt")."""
+    with open(path, "rb") as f:
+        blob = bytearray(gzip.compress(gzip.decompress(f.read()), mtime=0))
+    if damage == "truncated":
+        del blob[len(blob) // 2:]
+    else:
+        blob[10] = 0xFF  # past the 10-byte header: BFINAL 1, BTYPE 11
+    with open(path, "wb") as f:
+        f.write(blob)
+
+
 def test_load_idx_roundtrip(tmp_path):
     rng = np.random.default_rng(30)
     images = rng.integers(0, 256, size=(12, 4, 5), dtype=np.uint8)
@@ -723,9 +736,10 @@ def test_load_idx_roundtrip(tmp_path):
     ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "labels.idx")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
-    data = learner.load_idx(ip, lp)
-    assert data.n == 12 and data.p == 20
-    assert data.num_classes == int(labels.max()) + 1
+    p, classes = learner.idx_shape(ip, lp)
+    assert (p, classes) == (20, int(labels.max()) + 1)
+    data = learner.load_idx(ip, lp, classes)
+    assert data.n == 12 and data.p == 20 and data.num_classes == classes
     assert data.features.min() >= 0.0 and data.features.max() <= 1.0
     np.testing.assert_allclose(data.features[0],
                                images[0].reshape(-1) / 255.0)
@@ -737,7 +751,7 @@ def test_load_idx_gzip(tmp_path):
     ip, lp = str(tmp_path / "i.idx.gz"), str(tmp_path / "l.idx.gz")
     write_idx_images(ip, images, gz=True)
     write_idx_labels(lp, labels, gz=True)
-    data = learner.load_idx(ip, lp)
+    data = learner.load_idx(ip, lp, 2)
     assert data.n == 3 and data.p == 4
 
 
@@ -748,7 +762,7 @@ def test_load_idx_bad_magic(tmp_path):
     write_idx_images(ip, images)
     write_idx_labels(lp, labels, magic=0xDEADBEEF)
     with pytest.raises(learner.IdxFormatError):
-        learner.load_idx(ip, lp)
+        learner.load_idx(ip, lp, 2)
 
 
 def test_load_idx_truncated(tmp_path):
@@ -757,7 +771,47 @@ def test_load_idx_truncated(tmp_path):
     lp = str(tmp_path / "l.idx")
     write_idx_labels(lp, np.zeros(10, dtype=np.uint8))
     with pytest.raises(learner.IdxFormatError):
-        learner.load_idx(str(ip), lp)
+        learner.load_idx(str(ip), lp, 10)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("what", ["images", "labels"])
+def test_load_idx_damaged_gzip(tmp_path, what, damage):
+    # gzip reports these as EOFError and zlib.error, which are neither
+    # OSError nor ValueError.
+    rng = np.random.default_rng(36)
+    files = {"images": str(tmp_path / "i.idx.gz"),
+             "labels": str(tmp_path / "l.idx.gz")}
+    write_idx_images(files["images"],
+                     rng.integers(0, 256, size=(40, 4, 5), dtype=np.uint8),
+                     gz=True)
+    write_idx_labels(files["labels"],
+                     rng.integers(0, 3, size=40, dtype=np.uint8), gz=True)
+    damage_gzip(files[what], damage)
+    magic = {"images": learner.IDX_IMAGES_MAGIC,
+             "labels": learner.IDX_LABELS_MAGIC}[what]
+    with pytest.raises(learner.IdxFormatError, match=f"{what} file"):
+        learner.read_idx(files[what], magic, what)
+
+
+def test_idx_shape_counts_the_classes_of_every_label_file(tmp_path):
+    # One class count for all splits: one more than the largest label in
+    # any label file; labels at or above a caller's count are rejected.
+    ip = str(tmp_path / "i.idx.gz")
+    write_idx_images(ip, np.zeros((4, 3, 2), dtype=np.uint8), gz=True)
+    paths = []
+    for name, labels in (("a", [0, 1, 1, 0]), ("b", [4, 0]), ("c", [2])):
+        paths.append(str(tmp_path / f"{name}.idx"))
+        write_idx_labels(paths[-1], np.array(labels, dtype=np.uint8))
+    assert learner.idx_shape(ip, *paths) == (6, 5)
+    assert learner.idx_shape(ip, paths[0]) == (6, 2)
+    assert learner.load_idx(ip, paths[0], 5).num_classes == 5
+    with pytest.raises(ValueError, match="out of range"):
+        learner.load_idx(ip, paths[0], 1)
+    with pytest.raises(learner.IdxFormatError, match="magic"):
+        learner.idx_shape(paths[0], paths[1])
+    with pytest.raises(learner.IdxFormatError, match="magic"):
+        learner.idx_shape(ip, paths[1], ip)
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -767,7 +821,7 @@ def test_load_idx_count_mismatch(tmp_path):
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
     with pytest.raises(ValueError, match="count"):
-        learner.load_idx(ip, lp)
+        learner.load_idx(ip, lp, 1)
 
 
 def test_load_idx_scales_pixels_in_place(tmp_path):
@@ -780,7 +834,7 @@ def test_load_idx_scales_pixels_in_place(tmp_path):
     write_idx_labels(lp, labels)
     tracemalloc.start()
     try:
-        data = learner.load_idx(ip, lp)
+        data = learner.load_idx(ip, lp, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -799,7 +853,7 @@ MNIST_DIR = os.environ.get("MNIST_DIR", "")
 def test_load_mnist_train():
     data = learner.load_idx(
         os.path.join(MNIST_DIR, "train-images-idx3-ubyte.gz"),
-        os.path.join(MNIST_DIR, "train-labels-idx1-ubyte.gz"))
+        os.path.join(MNIST_DIR, "train-labels-idx1-ubyte.gz"), 10)
     assert data.n == 60_000 and data.p == 784 and data.num_classes == 10
 
 
