@@ -264,10 +264,11 @@ class IdxSpec(DatasetSpec):
         for path in astuple(self):
             ensure(os.path.exists(path), f"dataset file not found: {path}")
         object.__setattr__(self, "_shape", idx_shape(
-            self.train_images, self.train_labels, self.test_labels))
+            (self.train_images, self.test_images),
+            (self.train_labels, self.test_labels)))
 
     def shape(self) -> tuple[int, int]:
-        """(p, C), from the image header and the label files."""
+        """(p, C), from the image headers and the label files."""
         return self._shape
 
     def load(self, run_seed: int) -> tuple[Dataset, Dataset]:

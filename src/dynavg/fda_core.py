@@ -11,8 +11,10 @@ H function computed from the averaged states overestimates the variance,
 deterministically for the scalar-projection summary and probabilistically
 for the sketch summary.  Synchronization fires when H exceeds the
 threshold, one `VarianceMonitor` kind per summary.  They and the baseline
-policies (every step, fixed period, periodic server optimization) are
+policies (fixed-period local SGD and periodic server optimization) are
 `SyncStrategy` kinds: `start(w0, steps_per_epoch)` builds a run's hook.
+Synchronous averaging is local SGD at period 1, and a zero-threshold
+monitor runs it.
 """
 
 from __future__ import annotations
@@ -162,11 +164,6 @@ StepHook = Callable[[int, np.ndarray, Reduce, np.ndarray],
                     tuple[Optional[float], Optional[ParamVector]]]
 
 
-def _every_step(t: int, params: np.ndarray, reduce: Reduce,
-                scratch: np.ndarray):
-    return None, reduce(params, "model-sync")
-
-
 class SyncStrategy(Node):
     """A synchronization policy: a frozen config that validates itself,
     maps to and from its YAML `strategy` node (`kind` names it) and
@@ -185,7 +182,7 @@ class VarianceMonitor:
     average the models on strict H > theta (ties keep training locally).
     A variant defines monitor(d) -> (make_state(drift, xi), h_of(state)),
     and sets `reads_xi` if make_state reads xi, recomputed on each sync.
-    Zero theta is the every-step hook: a foregone decision needs no monitor."""
+    Zero theta runs `Synchronous`: a foregone decision needs no monitor."""
 
     theta: float
     reads_xi: ClassVar[bool] = False
@@ -195,7 +192,7 @@ class VarianceMonitor:
 
     def start(self, w0, steps_per_epoch):
         if self.theta == 0:
-            return _every_step
+            return Synchronous().start(w0, steps_per_epoch)
         make_state, h_of = self.monitor(w0.size)
         theta, reads_xi, w_sync = self.theta, self.reads_xi, w0
         xi: Xi = None
@@ -247,14 +244,6 @@ class LinearFda(VarianceMonitor, SyncStrategy):
 
 
 @dataclass(frozen=True)
-class Synchronous(SyncStrategy):
-    kind: ClassVar[str] = "synchronous"
-
-    def start(self, w0, steps_per_epoch):
-        return _every_step
-
-
-@dataclass(frozen=True)
 class LocalSgd(SyncStrategy):
     tau: int
     kind: ClassVar[str] = "local-sgd"
@@ -266,6 +255,14 @@ class LocalSgd(SyncStrategy):
         def hook(t, params, reduce, scratch):
             return None, None if t % self.tau else reduce(params, "model-sync")
         return hook
+
+
+@dataclass(frozen=True)
+class Synchronous(LocalSgd, SyncStrategy):
+    """Every-step averaging: local SGD whose period is the constant 1."""
+
+    tau: ClassVar[int] = 1
+    kind: ClassVar[str] = "synchronous"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -447,14 +447,23 @@ def read_idx(path: str, expected_magic: int, what: str) -> np.ndarray:
     return body.reshape(dims)
 
 
-def idx_shape(images_path: str, *labels_paths: str) -> tuple[int, int]:
-    """(p, C) of IDX data: p from the image header alone, C one more than
-    the largest label in any of the label files."""
-    with _open_idx(images_path, "images") as f:
-        dims = _idx_header(f, images_path, IDX_IMAGES_MAGIC, "images")
+def idx_shape(images_paths: Sequence[str],
+              labels_paths: Sequence[str]) -> tuple[int, int]:
+    """(p, C) of IDX data: p from the image headers, which must agree on
+    the image dimensions; C is one more than the largest label of any file."""
+    dims = []
+    for path in images_paths:
+        with _open_idx(path, "images") as f:
+            dims.append(_idx_header(f, path, IDX_IMAGES_MAGIC, "images")[1:])
+    size = ["x".join(map(str, d)) for d in dims]
+    for path, other in zip(images_paths, size):
+        if other != size[0]:
+            raise IdxFormatError(
+                f"images file {path} holds {other} images, not the "
+                f"{size[0]} of images file {images_paths[0]}")
     top = max(int(read_idx(path, IDX_LABELS_MAGIC, "labels").max())
               for path in labels_paths)
-    return math.prod(dims[1:]), top + 1
+    return math.prod(dims[0]), top + 1
 
 
 def load_idx(images_path: str, labels_path: str, num_classes: int) -> Dataset:

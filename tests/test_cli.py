@@ -30,6 +30,7 @@ FRONTIER = ROOT / "experiments" / "theta-frontier"
 HETEROGENEITY = ROOT / "experiments" / "heterogeneity"
 WORKERS = ROOT / "experiments" / "workers"
 SEEDS = ROOT / "experiments" / "seeds"
+BASELINES = ROOT / "experiments" / "baselines"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -229,7 +230,8 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
               "server-adam-momentum": "adam optimizer does not read momentum",
               "sgd-eps": "sgd optimizer does not read eps",
               "sgd-momentum-eps": "sgd-momentum optimizer does not read eps",
-              "server-eps": "sgd-momentum optimizer does not read eps"}
+              "server-eps": "sgd-momentum optimizer does not read eps",
+              "synchronous-tau": r"unknown Synchronous key\(s\) 'tau'"}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -301,6 +303,7 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
     {"optimizer": {"kind": "sgd", "lr": 0.01, "eps": 1.0e-6}},
     {"optimizer": {"kind": "sgd-momentum", "lr": 0.01, "eps": 1.0e-6}},
     {"strategy": {"kind": "fedopt", "server": {"eps": 1.0e-6}}},
+    {"strategy": {"kind": "synchronous", "tau": 1}},
 ], ids=["model-cnn", "init-zeros", "optimizer-rmsprop", "percent-150",
         "holders-0", "audit-quoted-false", "nesterov-quoted-false",
         "workers-2.7", "model-not-a-mapping", "theta-true", "lr-true",
@@ -319,7 +322,7 @@ NAMED_KEYS = {"synchronous-theta-profile": "'theta_profile'",
         "theta-string", "seed-negative", "sketch-seed-negative",
         "dataset-seed", "adam-weight-decay", "sgd-nesterov",
         "sgd-momentum-beta1", "server-adam-momentum", "sgd-eps",
-        "sgd-momentum-eps", "server-eps"])
+        "sgd-momentum-eps", "server-eps", "synchronous-tau"])
 def test_invalid_config_values_rejected_at_parse(tmp_path, overrides,
                                                 request):
     mapping = base_mapping(**overrides)
@@ -557,8 +560,8 @@ def test_idx_run_outputs_are_pinned(tmp_path):
 
 
 def test_idx_config_reads_each_file_once(tmp_path, monkeypatch):
-    # Parsing reads the image header and each label file once; the run
-    # then reads each of the four files once.
+    # Parsing reads each split's image header and each label file once;
+    # the run then reads each of the four files once.
     from dynavg import learner
 
     opened, read = [], []
@@ -579,11 +582,27 @@ def test_idx_config_reads_each_file_once(tmp_path, monkeypatch):
     config = cli.parse_config(mapping)
     labels = sorted([files["train_labels"], files["test_labels"]])
     assert sorted(read) == labels
-    assert sorted(opened) == sorted([files["train_images"], *labels])
+    assert sorted(opened) == sorted([files["train_images"],
+                                     files["test_images"], *labels])
     del opened[:], read[:]
     run(config)
     paths = sorted(path for key, path in files.items() if key != "kind")
     assert sorted(read) == sorted(opened) == paths
+
+
+def test_idx_test_images_of_other_dims_are_a_config_error(tmp_path, capsys,
+                                                          monkeypatch):
+    from test_learner import write_idx_images
+
+    mapping = idx_mapping(tmp_path)
+    test_images = mapping["dataset"]["test_images"]
+    write_idx_images(test_images, np.zeros((60, 5, 5), dtype=np.uint8),
+                     gz=True)
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("trained"))
+    assert cli.main(["run", write_config(tmp_path, mapping)]) == 2
+    err = capsys.readouterr().err
+    assert f"images file {test_images} holds 5x5 images" in err
+    assert mapping["dataset"]["train_images"] in err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
@@ -657,6 +676,20 @@ def test_run_experiment_deterministic_outputs(tmp_path):
         events.append(Path(out_jsonl).read_bytes())
     assert means[0] == means[1]
     assert events[0] == events[1]
+
+
+def test_synchronous_writes_the_outputs_of_local_sgd_at_tau_1(tmp_path):
+    outputs = []
+    for strategy in ({"kind": "synchronous"}, {"kind": "local-sgd", "tau": 1}):
+        out = tmp_path / strategy["kind"]
+        mapping = base_mapping(
+            strategy=strategy,
+            output={"metrics_csv": str(out / "metrics.csv"),
+                    "events_jsonl": str(out / "events.jsonl")})
+        assert cli.run_experiment(write_config(tmp_path, mapping)) == 1
+        outputs.append(((out / "metrics.csv").read_bytes(),
+                        (out / "events.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_run_experiment_reaches_target(tmp_path):
@@ -961,6 +994,11 @@ def test_committed_workers_rows_are_current(tmp_path):
 def test_committed_seeds_rows_are_current(tmp_path):
     assert_committed_rows_are_current(
         SEEDS, ["seed-10108-linear-fda.yaml"], tmp_path)
+
+
+def test_committed_baselines_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        BASELINES, ["fedavgm-e01.yaml"], tmp_path)
 
 
 @pytest.mark.parametrize(

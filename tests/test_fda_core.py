@@ -484,6 +484,16 @@ def test_should_sync_synchronous_always():
         np.testing.assert_array_equal(common, [0.5, 0.5])
 
 
+def test_synchronous_is_local_sgd_at_period_one():
+    # tau is a class constant, not a field: the node, the constructor and
+    # a sweep's columns know no tau.
+    assert isinstance(Synchronous(), LocalSgd) and Synchronous.tau == 1
+    assert Synchronous().to_node() == {"kind": "synchronous"}
+    assert SyncStrategy.pick({"kind": "synchronous"}) == Synchronous()
+    with pytest.raises(TypeError):
+        Synchronous(tau=1)
+
+
 def test_should_sync_local_sgd_counter():
     hook = LocalSgd(tau=4).start(np.zeros(2), 10)
     assert synced_steps(hook, 12) == [4, 8, 12]

@@ -15,7 +15,9 @@ cases pin a shape that the others do not:
 - linear-fda-uneven-k5: shards of 80, 80, 79, 79, 79, so passes of
   5, 5, 4, 4, 4 batches;
 - sketch-fda-k3: a 3x4 sketch, the mean of (l, m) rows with m > 1;
-- sketch-fda-mlp-k3: the same sketch on a hidden-layer model.
+- sketch-fda-mlp-k3: the same sketch on a hidden-layer model;
+- synchronous-k3 and linear-fda-theta0-k3: the every-step path, which a
+  zero-threshold monitor runs to the same bytes.
 
 Regenerate (only when an output change is intended):
 

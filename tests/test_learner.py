@@ -736,7 +736,7 @@ def test_load_idx_roundtrip(tmp_path):
     ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "labels.idx")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
-    p, classes = learner.idx_shape(ip, lp)
+    p, classes = learner.idx_shape([ip], [lp])
     assert (p, classes) == (20, int(labels.max()) + 1)
     data = learner.load_idx(ip, lp, classes)
     assert data.n == 12 and data.p == 20 and data.num_classes == classes
@@ -803,15 +803,15 @@ def test_idx_shape_counts_the_classes_of_every_label_file(tmp_path):
     for name, labels in (("a", [0, 1, 1, 0]), ("b", [4, 0]), ("c", [2])):
         paths.append(str(tmp_path / f"{name}.idx"))
         write_idx_labels(paths[-1], np.array(labels, dtype=np.uint8))
-    assert learner.idx_shape(ip, *paths) == (6, 5)
-    assert learner.idx_shape(ip, paths[0]) == (6, 2)
+    assert learner.idx_shape([ip], paths) == (6, 5)
+    assert learner.idx_shape([ip], paths[:1]) == (6, 2)
     assert learner.load_idx(ip, paths[0], 5).num_classes == 5
     with pytest.raises(ValueError, match="out of range"):
         learner.load_idx(ip, paths[0], 1)
     with pytest.raises(learner.IdxFormatError, match="magic"):
-        learner.idx_shape(paths[0], paths[1])
+        learner.idx_shape(paths[:1], paths[1:2])
     with pytest.raises(learner.IdxFormatError, match="magic"):
-        learner.idx_shape(ip, paths[1], ip)
+        learner.idx_shape([ip], [paths[1], ip])
 
 
 def test_load_idx_count_mismatch(tmp_path):
