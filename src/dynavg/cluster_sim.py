@@ -188,21 +188,19 @@ class CostLedger:
 def allreduce_average(payload, ledger: CostLedger, category: str):
     """Average one payload per worker; charge each worker row it holds.
 
-    A "model-sync" payload is the rows of a (v, d) matrix, averaged in
-    ascending worker order and billed 4*v*d bytes; a "state" payload is one
-    LocalState of v workers, billed 4*v*entries and, already holding their
-    mean summary, returned as it is.  A run's payloads hold all K rows.
+    Under "model-sync" the payload is the rows of a (v, d) matrix, averaged
+    in ascending worker order and billed 4*v*d bytes; under "state" it is
+    one LocalState of v workers, its own average, billed 4*v*entries.
     """
-    if category == "model-sync" and isinstance(payload, np.ndarray):
+    if category == "model-sync":
         mean = average(payload)  # raises, unbilled, unless (K, d) with K >= 1
         ledger.bytes_sync += WIRE_BYTES_PER_ENTRY * payload.size
         return mean
-    if category == "state" and isinstance(payload, LocalState):
+    if category == "state":
         ledger.bytes_state += (WIRE_BYTES_PER_ENTRY * payload.workers
                                * payload.entries)
         return payload
-    raise ValueError(
-        f"cannot reduce a {type(payload).__name__} as {category!r}")
+    raise ValueError(f"unknown cost category {category!r}")
 
 
 # --- run configuration ------------------------------------------------------
@@ -431,16 +429,16 @@ def run(config: RunConfig) -> RunReport:
     stream (seed, `_SEED_BATCHES`); one `loss_and_grad` call computes all
     K gradients into the gradient buffer; one `apply_gradient` call
     updates the matrix in place; the exact variance is audited if asked;
-    and the strategy's step hook, called as hook(t, matrix, reduce, grad)
-    with the spent gradient buffer as its scratch, builds all K local
-    states at once and decides what is exchanged.  The hook sends every
-    payload through `allreduce_average`, which charges the ledger K times
-    the per-worker payload, and may return a new common model, which is
-    copied into every row.  Once per epoch, with the gradient spent, the
-    workers' average model is written into the workspace's first d
-    entries and evaluated on the test set, each layer's activations going
-    into the entries after it; the run stops when test accuracy reaches
-    the target or after max_epochs.  `strategy.start(w0, steps_per_epoch)`
+    and the strategy's step hook, called as hook(t, matrix, exchange, sync,
+    grad) with the spent gradient buffer as its scratch, builds all K local
+    states at once and decides what is exchanged: exchange(state) bills a
+    LocalState as "state" and sync(rows) a (K, d) matrix, returning its mean
+    row, as "model-sync", both through `allreduce_average`.  A new common
+    model that the hook returns is copied into every row.  Once per epoch,
+    the workers' average model is written into the spent workspace's first
+    d entries and evaluated on the test set, each layer's activations going
+    into the entries after it; the run stops when test accuracy reaches the
+    target or after max_epochs.  `strategy.start(w0, steps_per_epoch)`
     builds the hook; it alone holds the initial model, while it needs it.
     """
     k = config.workers
@@ -472,8 +470,12 @@ def run(config: RunConfig) -> RunReport:
     t = 0
     syncs = 0
 
-    def reduce(payload, category: str):
-        return allreduce_average(payload, ledger, category)
+    # The hook's two charged AllReduces look `allreduce_average` up per call.
+    def exchange(state: LocalState) -> LocalState:
+        return allreduce_average(state, ledger, "state")
+
+    def sync(rows: np.ndarray) -> ParamVector:
+        return allreduce_average(rows, ledger, "model-sync")
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []
@@ -494,7 +496,7 @@ def run(config: RunConfig) -> RunReport:
             if config.audit_variance:
                 variance = fda_core.variance_exact(workers.params, out=grad)
 
-            h_val, common = hook(t, workers.params, reduce, grad)
+            h_val, common = hook(t, workers.params, exchange, sync, grad)
             synced = common is not None
             if synced:
                 syncs += 1

@@ -150,17 +150,14 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 
 # --- synchronization strategies -------------------------------------------
 
-# reduce(payload, category) is the charged AllReduce: it bills the ledger K
-# times one worker's entries and returns the average of one payload per
-# worker.  Under "model-sync" that is the mean row of a (K, d) matrix; under
-# "state" the payload is one LocalState of K workers, which already holds
-# their mean summary, and comes back as it is.
-Reduce = Callable[[object, str], object]
-# hook(t, (K, d) worker params, reduce, (K, d) scratch) -> (H or None, new
-# common model or None).  The hook reads the params and must not keep or
-# modify them; it may overwrite the scratch matrix, whose entries mean
-# nothing, during its own call only.
-StepHook = Callable[[int, np.ndarray, Reduce, np.ndarray],
+# hook(t, (K, d) worker params, exchange, sync, (K, d) scratch) -> (H or
+# None, new common model or None).  exchange(state) bills one LocalState of
+# K workers, which already holds their mean summary, and returns it;
+# sync(rows) bills a (K, d) matrix and returns its mean row.  The hook reads
+# the params and must not keep or modify them; it may overwrite the scratch
+# matrix, whose entries mean nothing, during its own call only.
+StepHook = Callable[[int, np.ndarray, Callable[[LocalState], LocalState],
+                     Callable[[np.ndarray], ParamVector], np.ndarray],
                     tuple[Optional[float], Optional[ParamVector]]]
 
 
@@ -197,13 +194,13 @@ class VarianceMonitor:
         theta, reads_xi, w_sync = self.theta, self.reads_xi, w0
         xi: Xi = None
 
-        def hook(t, params, reduce, scratch):
+        def hook(t, params, exchange, sync, scratch):
             nonlocal xi, w_sync
             drift = np.subtract(params, w_sync, out=scratch)
-            h = h_of(reduce(make_state(drift, xi), "state"))
+            h = h_of(exchange(make_state(drift, xi)))
             if not h > theta:
                 return h, None
-            mean = reduce(params, "model-sync")
+            mean = sync(params)
             if reads_xi:
                 xi = compute_xi(mean, w_sync)
             w_sync = mean
@@ -252,8 +249,8 @@ class LocalSgd(SyncStrategy):
         ensure(self.tau >= 1, "tau must be >= 1")
 
     def start(self, w0, steps_per_epoch):
-        def hook(t, params, reduce, scratch):
-            return None, None if t % self.tau else reduce(params, "model-sync")
+        def hook(t, params, exchange, sync, scratch):
+            return None, None if t % self.tau else sync(params)
         return hook
 
 
@@ -295,12 +292,11 @@ class FedOpt(SyncStrategy):
         state = self.server.build(w0.shape)
         w_global = w0
 
-        def hook(t, params, reduce, scratch):
+        def hook(t, params, exchange, sync, scratch):
             nonlocal w_global
             if t % period:
                 return None, None
-            delta = reduce(np.subtract(params, w_global, out=scratch),
-                           "model-sync")
+            delta = sync(np.subtract(params, w_global, out=scratch))
             w_global = apply_gradient(state, w_global.copy(), -delta)
             return None, w_global
 

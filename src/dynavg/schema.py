@@ -84,15 +84,16 @@ class Node:
 
     @classmethod
     def variant(cls, node: dict) -> type:
-        """The class of this family that `node[tag]` names or, when the node
-        lacks that key, the one that the base's own ClassVar of that name
-        names (`iid` for partitions).  A class that heads no family is its
-        own variant."""
+        """The class that `node[tag]` names, this one or one of its direct
+        subclasses, or, when the node lacks that key, the one that this
+        class's own ClassVar of that name names (`iid` for partitions).  A
+        class that heads no family is its own variant."""
         if cls.tag is None:
             return cls
         name = node.get(cls.tag, getattr(cls, cls.tag, None))
         ensure(name is not None, f"missing {cls.__name__} key {cls.tag!r}")
-        variants = {getattr(s, cls.tag): s for s in cls.__subclasses__()}
+        variants = {getattr(s, cls.tag, None): s
+                    for s in (cls, *cls.__subclasses__())}
         ensure(name in variants, f"unknown {cls.__name__} {cls.tag} {name!r}")
         return variants[name]
 

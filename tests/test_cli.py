@@ -31,6 +31,7 @@ HETEROGENEITY = ROOT / "experiments" / "heterogeneity"
 WORKERS = ROOT / "experiments" / "workers"
 SEEDS = ROOT / "experiments" / "seeds"
 BASELINES = ROOT / "experiments" / "baselines"
+BASELINES_SKEW = ROOT / "experiments" / "baselines-skew"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -999,6 +1000,11 @@ def test_committed_seeds_rows_are_current(tmp_path):
 def test_committed_baselines_rows_are_current(tmp_path):
     assert_committed_rows_are_current(
         BASELINES, ["fedavgm-e01.yaml"], tmp_path)
+
+
+def test_committed_baselines_skew_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        BASELINES_SKEW, ["label-0-local-sgd-tau-00100.yaml"], tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -417,17 +417,20 @@ def test_compute_xi_unit_norm():
 
 # Two workers whose drifts from w0 = 0 are e1 and e2.  Before any sync xi
 # is absent, so H = mean ||u||^2 = 1.
-TWO_DRIFTS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+TWO_DRIFTS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
-def recording_reduce(categories):
-    """Average like the simulator and note each payload category."""
-    def reduce(payloads, category):
-        categories.append(category)
-        if category == "state":
-            return payloads
-        return vecmath.average(payloads)
-    return reduce
+def recording_calls(calls):
+    """A hook's exchange and sync calls: each returns what the simulator's
+    does and notes its name in `calls`."""
+    def exchange(state):
+        calls.append("exchange")
+        return state
+
+    def sync(rows):
+        calls.append("sync")
+        return vecmath.average(rows)
+    return exchange, sync
 
 
 def scratch_like(params):
@@ -436,27 +439,27 @@ def scratch_like(params):
 
 
 def step_once(strategy, params):
-    categories = []
+    calls = []
     hook = strategy.start(np.zeros(len(params[0])), 1)
-    h, common = hook(1, params, recording_reduce(categories),
+    h, common = hook(1, params, *recording_calls(calls),
                      scratch_like(params))
-    return h, common, categories
+    return h, common, calls
 
 
 def synced_steps(hook, steps):
     return [t for t in range(1, steps + 1)
-            if hook(t, TWO_DRIFTS, recording_reduce([]),
+            if hook(t, TWO_DRIFTS, *recording_calls([]),
                     scratch_like(TWO_DRIFTS))[1] is not None]
 
 
 def test_should_sync_linear_threshold():
-    h, common, categories = step_once(LinearFda(theta=0.6), TWO_DRIFTS)
+    h, common, calls = step_once(LinearFda(theta=0.6), TWO_DRIFTS)
     assert h == 1.0
     np.testing.assert_array_equal(common, [0.5, 0.5])
-    assert categories == ["state", "model-sync"]
-    h, common, categories = step_once(LinearFda(theta=1.5), TWO_DRIFTS)
+    assert calls == ["exchange", "sync"]
+    h, common, calls = step_once(LinearFda(theta=1.5), TWO_DRIFTS)
     assert h == 1.0 and common is None
-    assert categories == ["state"]
+    assert calls == ["exchange"]
 
 
 def test_should_sync_tie_does_not_fire():
@@ -468,19 +471,19 @@ def test_should_sync_zero_theta_fires_on_any_positive_h():
     # theta = 0 degenerates to the every-step hook: no state exchange, and
     # a sync even where the models already agree.
     for monitor in MONITORS:
-        for params in (TWO_DRIFTS, [np.ones(2), np.ones(2)]):
-            h, common, categories = step_once(monitor(theta=0.0), params)
+        for params in (TWO_DRIFTS, np.ones((2, 2))):
+            h, common, calls = step_once(monitor(theta=0.0), params)
             assert h is None and common is not None
-            assert categories == ["model-sync"]
+            assert calls == ["sync"]
 
 
 def test_should_sync_synchronous_always():
     hook = Synchronous().start(np.zeros(2), 1)
     for t in range(1, 4):
-        categories = []
-        h, common = hook(t, TWO_DRIFTS, recording_reduce(categories),
+        calls = []
+        h, common = hook(t, TWO_DRIFTS, *recording_calls(calls),
                          scratch_like(TWO_DRIFTS))
-        assert h is None and categories == ["model-sync"]
+        assert h is None and calls == ["sync"]
         np.testing.assert_array_equal(common, [0.5, 0.5])
 
 
@@ -494,6 +497,16 @@ def test_synchronous_is_local_sgd_at_period_one():
         Synchronous(tau=1)
 
 
+def test_a_variant_picks_its_own_kind_and_its_subclasses_kinds():
+    assert LocalSgd.pick({"kind": "local-sgd", "tau": 3}) == LocalSgd(tau=3)
+    assert LinearFda.pick({"kind": "linear-fda", "theta": 0.1}) \
+        == LinearFda(theta=0.1)
+    assert LocalSgd.pick({"kind": "synchronous"}) == Synchronous()
+    with pytest.raises(ValueError, match="unknown LocalSgd kind 'fedopt'"):
+        LocalSgd.pick({"kind": "fedopt"})
+    assert cs.PartitionScheme.pick({}) == cs.Iid()
+
+
 def test_should_sync_local_sgd_counter():
     hook = LocalSgd(tau=4).start(np.zeros(2), 10)
     assert synced_steps(hook, 12) == [4, 8, 12]
@@ -504,12 +517,67 @@ def test_should_sync_fedopt_epoch_boundary():
     assert synced_steps(hook, 45) == [20, 40]
 
 
+# One spec of every strategy kind, and each monitor also at theta 0, where
+# it runs local SGD at period 1.
+EVERY_KIND = {
+    "linear-fda": LinearFda(theta=0.5),
+    "linear-fda-theta0": LinearFda(theta=0.0),
+    "sketch-fda": SketchFda(theta=0.5, rows=3, cols=4),
+    "sketch-fda-theta0": SketchFda(theta=0.0),
+    "local-sgd": LocalSgd(tau=2), "synchronous": Synchronous(),
+    "fedopt": FedOpt()}
+
+
+def test_every_kind_has_its_payload_case():
+    assert {type(s) for s in EVERY_KIND.values()} \
+        == set(SyncStrategy.__subclasses__())
+
+
+@pytest.mark.parametrize("strategy", EVERY_KIND.values(), ids=EVERY_KIND)
+def test_hooks_send_states_to_exchange_and_matrices_to_sync(strategy):
+    # `allreduce_average` takes the payload that its category names on
+    # trust: exchange must get one LocalState of the K workers, and sync
+    # the (K, d) rows.  The workers drift from the last common model by a
+    # small step, which no monitor syncs on, then a large one, which each
+    # syncs on; local SGD and FedOpt sync every second step.
+    k, d = 3, 5
+    rng = np.random.default_rng(7)
+    common = rng.standard_normal(d)
+    calls = []
+
+    def exchange(state):
+        assert isinstance(state, fda_core.LocalState)
+        assert state.workers == k
+        calls.append("exchange")
+        return state
+
+    def sync(rows):
+        assert type(rows) is np.ndarray and rows.shape == (k, d)
+        calls.append("sync")
+        return vecmath.average(rows)
+
+    hook = strategy.start(common, 2)
+    synced = []
+    for t, scale in enumerate([0.01, 10.0] * 2, start=1):
+        params = common + scale * rng.standard_normal((k, d))
+        _, new_common = hook(t, params, exchange, sync, scratch_like(params))
+        synced.append(new_common is not None)
+        if new_common is not None:
+            common = new_common
+    monitors = getattr(strategy, "theta", 0) > 0
+    every_step = getattr(strategy, "theta", None) == 0 \
+        or getattr(strategy, "tau", None) == 1
+    assert synced == ([True] * 4 if every_step else [False, True] * 2)
+    assert calls.count("exchange") == (4 if monitors else 0)
+    assert calls.count("sync") == sum(synced)
+
+
 def test_start_builds_fresh_monitor_state():
     strategy = LinearFda(theta=0.6)
     hook = strategy.start(np.zeros(2), 1)
     scratch = scratch_like(TWO_DRIFTS)
-    hook(1, TWO_DRIFTS, recording_reduce([]), scratch)  # syncs: xi, w_sync move
-    h_after_sync, _ = hook(2, TWO_DRIFTS, recording_reduce([]), scratch)
+    hook(1, TWO_DRIFTS, *recording_calls([]), scratch)  # moves xi and w_sync
+    h_after_sync, _ = hook(2, TWO_DRIFTS, *recording_calls([]), scratch)
     h_fresh, _, _ = step_once(strategy, TWO_DRIFTS)
     assert h_after_sync == pytest.approx(0.5)
     assert h_fresh == 1.0
@@ -538,7 +606,7 @@ def test_hooks_build_the_drift_in_scratch(strategy, syncs, quiet):
         for t in range(1, 4):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _, common = hook(t, params, recording_reduce([]), scratch)
+            _, common = hook(t, params, *recording_calls([]), scratch)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             synced.append(common is not None)
     finally:
@@ -577,7 +645,7 @@ def test_validate_strategy():
 def server_round(strategy, w_global, params):
     """Run one FedOpt round from `w_global` on the (K, d) worker models."""
     hook = strategy.start(w_global, 1)
-    h, common = hook(1, params, recording_reduce([]), scratch_like(params))
+    h, common = hook(1, params, *recording_calls([]), scratch_like(params))
     assert h is None
     return common
 
@@ -613,7 +681,7 @@ def test_fedopt_momentum_matches_recurrence():
     got = w
     for t, delta in enumerate(deltas, start=1):
         params = (got + delta)[None]
-        _, got = hook(t, params, recording_reduce([]), scratch_like(params))
+        _, got = hook(t, params, *recording_calls([]), scratch_like(params))
     vel = np.zeros(d)
     expected = w
     for delta in deltas:
