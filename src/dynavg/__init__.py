@@ -7,6 +7,17 @@ Includes an exact-variance audit, fixed-period (local SGD, whose period 1
 is synchronous averaging) and server-optimizer baselines, and a
 deterministic multi-worker simulator that accounts for communication and
 computation cost.
+
+Importing the package before numpy caps BLAS at one thread unless the
+environment already sets a count.  A run's own lanes (`vecmath.split`) are
+its parallelism, and threaded BLAS kernels round differently from the
+one-thread ones, so at d ~ 10^5 a run's bytes would depend on the core
+count.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")

@@ -45,7 +45,7 @@ from .learner import (
     param_count,
 )
 from .schema import Node, ensure
-from .vecmath import ParamVector, average, ordered_mean
+from .vecmath import ParamVector, average, by_columns, ordered_mean
 
 WIRE_BYTES_PER_ENTRY = 4
 
@@ -440,6 +440,14 @@ def run(config: RunConfig) -> RunReport:
     into the entries after it; the run stops when test accuracy reaches the
     target or after max_epochs.  `strategy.start(w0, steps_per_epoch)`
     builds the hook; it alone holds the initial model, while it needs it.
+
+    Once a (K, d) matrix holds `vecmath.LANE_MIN_ENTRIES` entries and the
+    process may use two CPUs, each step runs in two lanes, this thread and
+    one helper (`vecmath.split`): `loss_and_grad` splits the workers' rows;
+    `apply_gradient`, the drift, the means over the workers and the copy
+    of a new common model into every row split the coordinates.  No split
+    crosses an axis that a sum runs along, so the report's bytes are the
+    same in one lane or two.
     """
     k = config.workers
     train, test = config.dataset.load(config.seed)
@@ -500,7 +508,7 @@ def run(config: RunConfig) -> RunReport:
             synced = common is not None
             if synced:
                 syncs += 1
-                workers.params[:] = common
+                by_columns(np.copyto, workers.params, common)
             step_records.append(synced, h_val, variance, train_loss,
                                 ledger.bytes_total)
             epoch_losses.append(train_loss)

@@ -27,8 +27,8 @@ import numpy as np
 from . import sketch as sk
 from .learner import OptimizerSpec, apply_gradient
 from .schema import Node, ensure
-from .vecmath import (ParamVector, average, dot, norm_sq, ordered_mean,
-                      ordered_sum)
+from .vecmath import (ParamVector, average, by_columns, dot, norm_sq,
+                      ordered_mean, ordered_sum)
 
 Drift = ParamVector
 
@@ -76,7 +76,8 @@ def variance_exact(models, out: Optional[np.ndarray] = None) -> float:
     models = np.asarray(models, dtype=np.float64)
     if len(models) == 0:
         raise ValueError("variance of an empty list")
-    centred = np.subtract(models, average(models), out=out)
+    centred = np.empty_like(models) if out is None else out
+    by_columns(np.subtract, models, average(models), centred)
     return ordered_mean(norm_sq(centred))
 
 
@@ -196,8 +197,8 @@ class VarianceMonitor:
 
         def hook(t, params, exchange, sync, scratch):
             nonlocal xi, w_sync
-            drift = np.subtract(params, w_sync, out=scratch)
-            h = h_of(exchange(make_state(drift, xi)))
+            by_columns(np.subtract, params, w_sync, scratch)
+            h = h_of(exchange(make_state(scratch, xi)))
             if not h > theta:
                 return h, None
             mean = sync(params)
@@ -296,7 +297,8 @@ class FedOpt(SyncStrategy):
             nonlocal w_global
             if t % period:
                 return None, None
-            delta = sync(np.subtract(params, w_global, out=scratch))
+            by_columns(np.subtract, params, w_global, scratch)
+            delta = sync(scratch)
             w_global = apply_gradient(state, w_global.copy(), -delta)
             return None, w_global
 

@@ -33,8 +33,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import vecmath
 from .schema import Node, ensure
-from .vecmath import ParamVector
+from .vecmath import ParamVector, by_columns
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -162,15 +163,28 @@ def init_model(kind: str, p: int, num_classes: int, hidden: int = 0,
 class _Pass:
     """The views a gradient pass over one params array, gradient buffer and
     batch shape reuses: (W, b) of both (biases shaped to broadcast over
-    samples), the transposed weights and each sample's flat logit row."""
+    samples), the transposed weights and each sample's flat logit row.
+    Over K stacked models, `block(lo, hi)` is the pass of rows lo:hi."""
 
     def __init__(self, model: Model, out=None, shape: tuple = ()):
         self.params, self.out, self.shape = model.params, out, shape
+        self.layout = (model.kind, model.p, model.num_classes, model.hidden)
         self.layers = [(w, b[..., None, :])
                        for w, b in _layers(model, model.params)]
         self.weights_t = [np.swapaxes(w, -1, -2) for w, _ in self.layers]
         self.grads = None if out is None else _layers(model, out)
         self.rows = np.arange(math.prod(shape)).reshape(shape) * model.num_classes
+        self._blocks: dict = {}
+
+    def block(self, lo: int, hi: int) -> _Pass:
+        if (lo, hi) == (0, len(self.params)):
+            return self
+        net = self._blocks.get((lo, hi))
+        if net is None:
+            net = self._blocks[lo, hi] = _Pass(
+                Model(*self.layout, self.params[lo:hi]), self.out[lo:hi],
+                (hi - lo, *self.shape[1:]))
+        return net
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -215,10 +229,11 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset,
 
     For one model: a float and a (d,) gradient.  For a (K, d) params
     matrix and a (K, b) batch: a (K,) array of losses and the (K, d)
-    gradient matrix.  The gradient is written into `out` (a new array when
-    None), layer by layer through views, with no concatenation.  The
-    views come from a `_Pass` kept on the model until `model.params`,
-    `out` or the batch shape changes: built once per run.
+    gradient matrix, its row blocks computed in `vecmath.split`'s lanes.
+    The gradient is written into `out` (a new array when None), layer by
+    layer through views, with no concatenation.  The views come from a
+    `_Pass` per row block, kept on the model until `model.params`, `out`
+    or the batch shape changes: built once per run.
     """
     if out is None:
         out = np.empty(model.params.shape)
@@ -226,6 +241,21 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset,
     if not (net and net.params is model.params and net.out is out
             and net.shape == batch.shape):
         net = model._pass = _Pass(model, out, batch.shape)
+    if model.params.ndim == 1:
+        return float(_backprop(net, batch, data)), out
+    if model.params.size < vecmath.LANE_MIN_ENTRIES:  # one lane
+        return _backprop(net, batch, data), out
+    losses = np.empty(len(batch))
+
+    def rows(lo, hi):
+        losses[lo:hi] = _backprop(net.block(lo, hi), batch[lo:hi], data)
+
+    vecmath.split(rows, len(batch), model.params.size)
+    return losses, out
+
+
+def _backprop(net: _Pass, batch: Batch, data: Dataset) -> np.ndarray:
+    """The batch's mean loss per model; the gradient goes into net.out."""
     x = data.features.take(batch, axis=0)
     y = data.labels.take(batch)
     nb = y.shape[-1]
@@ -242,7 +272,7 @@ def loss_and_grad(model: Model, batch: Batch, data: Dataset,
         if i:  # through the ReLU: its input was positive iff its output is
             dz = np.matmul(dz, net.weights_t[i])
             dz *= inputs[i] > 0.0
-    return (float(loss) if loss.ndim == 0 else loss), out
+    return loss
 
 
 def activation_count(kind: str, p: int, num_classes: int, hidden: int,
@@ -318,6 +348,43 @@ class OptimizerState:
     step: int = 0
     slots: dict = field(default_factory=dict)
 
+    def update(self, params: np.ndarray, grad: np.ndarray,
+               *slots: np.ndarray) -> None:
+        """Update number `step` on matching blocks of params, grad and the
+        slots, given in the order `OptimizerSpec.build` makes them."""
+        spec, step = self.spec, self.step
+        adam = spec.kind in ("adam", "adamw")
+        if spec.kind == "sgd-momentum":
+            vel, = slots
+            vel *= spec.momentum
+            vel += grad
+            if spec.nesterov:
+                grad += spec.momentum * vel
+            else:
+                grad[...] = vel
+        elif adam:
+            # tmp holds in turn (1-b1)*g, (1-b2)*g, the denominator and
+            # AdamW's decay (lr*wd)*w, taken before params move.
+            m, v = slots
+            tmp = np.multiply(1.0 - spec.beta1, grad)
+            m *= spec.beta1
+            m += tmp
+            v *= spec.beta2
+            grad *= np.multiply(1.0 - spec.beta2, grad, out=tmp)
+            v += grad
+            np.divide(m, 1.0 - spec.beta1 ** step, out=grad)  # m_hat
+        grad *= spec.lr
+        if adam:
+            np.divide(v, 1.0 - spec.beta2 ** step, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += spec.eps
+            grad /= tmp
+        if spec.kind == "adamw":
+            np.multiply(spec.lr * spec.weight_decay, params, out=tmp)
+        params -= grad
+        if spec.kind == "adamw":
+            params -= tmp
+
 
 def apply_gradient(opt: OptimizerState, params: np.ndarray,
                    grad: np.ndarray) -> np.ndarray:
@@ -331,41 +398,11 @@ def apply_gradient(opt: OptimizerState, params: np.ndarray,
     Each product and sum rounds as in the textbook expression
     `params - lr * update`.  Nesterov momentum and both Adam kinds
     allocate one temporary of params' shape per step; SGD and plain
-    momentum allocate none.
+    momentum allocate none.  Every entry updates alone, so column blocks
+    update in `vecmath.split`'s lanes.
     """
-    spec = opt.spec
     opt.step += 1
-    adam = spec.kind in ("adam", "adamw")
-    if spec.kind == "sgd-momentum":
-        vel = opt.slots["velocity"]
-        vel *= spec.momentum
-        vel += grad
-        if spec.nesterov:
-            grad += spec.momentum * vel
-        else:
-            grad[...] = vel
-    elif adam:
-        # tmp holds in turn (1-b1)*g, (1-b2)*g, the denominator and
-        # AdamW's decay (lr*wd)*w, taken before params move.
-        m, v = opt.slots["m"], opt.slots["v"]
-        tmp = np.multiply(1.0 - spec.beta1, grad)
-        m *= spec.beta1
-        m += tmp
-        v *= spec.beta2
-        grad *= np.multiply(1.0 - spec.beta2, grad, out=tmp)
-        v += grad
-        np.divide(m, 1.0 - spec.beta1 ** opt.step, out=grad)  # m_hat
-    grad *= spec.lr
-    if adam:
-        np.divide(v, 1.0 - spec.beta2 ** opt.step, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += spec.eps
-        grad /= tmp
-    if spec.kind == "adamw":
-        np.multiply(spec.lr * spec.weight_decay, params, out=tmp)
-    params -= grad
-    if spec.kind == "adamw":
-        params -= tmp
+    by_columns(opt.update, params, grad, *opt.slots.values())
     return params
 
 

@@ -16,6 +16,7 @@ measured coverage.
 
 import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,8 +310,8 @@ def test_criterion_12_determinism(tmp_path):
         path.write_text(yaml.safe_dump(mapping))
         code = cli.run_experiment(str(path))
         assert code in (0, 1)
-        outputs.append((open(out_csv, "rb").read(),
-                        open(out_jsonl, "rb").read()))
+        outputs.append((Path(out_csv).read_bytes(),
+                        Path(out_jsonl).read_bytes()))
     same_csv = outputs[0][0] == outputs[1][0]
     same_jsonl = outputs[0][1] == outputs[1][1]
     ok = same_csv and same_jsonl

@@ -1,5 +1,6 @@
 import functools
 import operator
+import threading
 import tracemalloc
 
 import numpy as np
@@ -173,3 +174,102 @@ def test_average_into_out_matches_and_makes_no_d_sized_array(k, d):
     assert out.tobytes() == vecmath.average(m).tobytes()
     if d > 1:
         assert peak < 0.1 * 8 * d
+
+
+# --- lanes --------------------------------------------------------------------
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Every call with two or more blocks splits, on any CPU count."""
+    monkeypatch.setattr(vecmath, "LANE_MIN_ENTRIES", 1)
+    monkeypatch.setattr(vecmath, "_lane", vecmath._Lane())
+
+
+def record(calls):
+    return lambda lo, hi: calls.append((lo, hi, threading.get_ident()))
+
+
+def test_split_gives_the_first_half_here_and_the_rest_to_the_helper(lanes):
+    calls = []
+    vecmath.split(record(calls), 5, 5)
+    here = threading.get_ident()
+    assert sorted((lo, hi, ident == here) for lo, hi, ident in calls) == [
+        (0, 3, True), (3, 5, False)]
+
+
+def test_split_runs_small_calls_once_here():
+    calls = []
+    vecmath.split(record(calls), 5, vecmath.LANE_MIN_ENTRIES - 1)
+    vecmath.split(record(calls), 1, vecmath.LANE_MIN_ENTRIES)
+    here = threading.get_ident()
+    assert calls == [(0, 5, here), (0, 1, here)]
+
+
+def test_split_stays_in_one_lane_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(vecmath, "LANE_MIN_ENTRIES", 1)
+    monkeypatch.setattr(vecmath, "_lane", None)
+    monkeypatch.setattr(vecmath.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    calls = []
+    vecmath.split(record(calls), 4, 4)
+    assert calls == [(0, 4, threading.get_ident())]
+    assert vecmath._lane is False
+
+
+def test_split_reraises_the_helpers_error_once_both_blocks_ended(lanes):
+    ended = []
+
+    def fn(lo, hi):
+        if lo:
+            raise ZeroDivisionError("helper block")
+        ended.append((lo, hi))
+
+    with pytest.raises(ZeroDivisionError, match="helper block"):
+        vecmath.split(fn, 4, 4)
+    assert ended == [(0, 2)]
+    calls = []
+    vecmath.split(record(calls), 2, 2)  # the helper is free again
+    assert sorted(c[:2] for c in calls) == [(0, 1), (1, 2)]
+
+
+def test_split_inside_a_block_runs_in_one_call(lanes):
+    inner = []
+    vecmath.split(lambda lo, hi: vecmath.split(
+        lambda a, b: inner.append((lo, a, b)), 4, 4), 2, 2)
+    assert sorted(inner) == [(0, 0, 4), (1, 0, 4)]
+
+
+def sums_and_means(m: np.ndarray) -> list[bytes]:
+    """ordered_sum into a new array and, but for K numbers, into its own
+    first row; average too for a matrix."""
+    scratch = m.copy()
+    got = [vecmath.ordered_sum(m)]
+    if m.ndim > 1:
+        got.append(vecmath.ordered_sum(scratch, out=scratch[0]))
+    if m.ndim == 2:
+        got.append(vecmath.average(m))
+    return [x.tobytes() for x in got]
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 2, 9), (1, 4), (4,)])
+def test_sums_and_means_in_lanes_match_one_lane(monkeypatch, shape):
+    m = np.random.default_rng(23).standard_normal(shape)
+    serial = sums_and_means(m)
+    monkeypatch.setattr(vecmath, "LANE_MIN_ENTRIES", 1)
+    monkeypatch.setattr(vecmath, "_lane", vecmath._Lane())
+    assert sums_and_means(m) == serial
+
+
+def test_by_columns_runs_fn_on_matching_column_blocks(lanes):
+    m = np.arange(12.0).reshape(3, 4)
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    out = np.empty_like(m)
+    blocks = []
+
+    def subtract(a, b, c):
+        blocks.append((a.shape, b.shape, c.shape))
+        np.subtract(a, b, out=c)
+
+    vecmath.by_columns(subtract, m, v, out)
+    assert sorted(blocks) == [((3, 2), (2,), (3, 2))] * 2
+    assert np.array_equal(out, m - v)
