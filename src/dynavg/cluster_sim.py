@@ -426,20 +426,21 @@ def run(config: RunConfig) -> RunReport:
     entries is allocated once; its leading (K, d) view is the gradient
     buffer.  Per step, in lock-step: one `ShardSampler` call draws the
     (K, b) batch, one row per worker, from the run seed's batch-order
-    stream (seed, `_SEED_BATCHES`); one `loss_and_grad` call computes all
-    K gradients into the gradient buffer; one `apply_gradient` call
-    updates the matrix in place; the exact variance is audited if asked;
-    and the strategy's step hook, called as hook(t, matrix, exchange, sync,
-    grad) with the spent gradient buffer as its scratch, builds all K local
-    states at once and decides what is exchanged: exchange(state) bills a
-    LocalState as "state" and sync(rows) a (K, d) matrix, returning its mean
-    row, as "model-sync", both through `allreduce_average`.  A new common
-    model that the hook returns is copied into every row.  Once per epoch,
-    the workers' average model is written into the spent workspace's first
-    d entries and evaluated on the test set, each layer's activations going
-    into the entries after it; the run stops when test accuracy reaches the
-    target or after max_epochs.  `strategy.start(w0, steps_per_epoch)`
-    builds the hook; it alone holds the initial model, while it needs it.
+    stream (seed, `_SEED_BATCHES`); one `loss_and_grad` call computes all K
+    gradients into the gradient buffer; one `apply_gradient` call updates
+    the matrix in place; the exact variance is audited if asked; and the
+    step hook that `strategy.start(d, steps_per_epoch)` builds, called as
+    hook(t, matrix, w_sync, exchange, sync, grad) with the spent gradient
+    buffer as its scratch, builds all K local states at once and decides
+    what is exchanged: exchange(state) bills a LocalState as "state" and
+    sync(rows) a (K, d) matrix, returning its mean row, as "model-sync",
+    both through `allreduce_average`.  The run holds the sync point w_sync:
+    the initial model, then each new common model that the hook returns,
+    which is also copied into every row.  Once per epoch, the workers'
+    average model is written into the spent workspace's first d entries and
+    evaluated on the test set, each layer's activations going into the
+    entries after it; the run stops when test accuracy reaches the target
+    or after max_epochs.
 
     Once a (K, d) matrix holds `vecmath.LANE_MIN_ENTRIES` entries and the
     process may use two CPUs, each step runs in two lanes, this thread and
@@ -458,12 +459,12 @@ def run(config: RunConfig) -> RunReport:
                        derive_seed(config.seed, _SEED_PARTITION))
     sampler = ShardSampler(shards, config.batch_size,
                            (config.seed, _SEED_BATCHES))
-    # The strategy holds the initial model as long as it needs it; every
-    # worker starts from a copy, one row of the workers' matrix.
+    # The initial model is the first sync point; every worker starts from
+    # a copy, one row of the workers' matrix.
     workers = init_model(*layout, init_scheme=config.init_scheme,
                          seed=derive_seed(config.seed, _SEED_INIT))
-    hook = config.strategy.start(workers.params, sampler.batches_per_pass)
-    workers.params = np.tile(workers.params, (k, 1))
+    hook = config.strategy.start(d, sampler.batches_per_pass)
+    w_sync, workers.params = workers.params, np.tile(workers.params, (k, 1))
     opt = config.optimizer.build((k, d))
     # The run's one workspace.  Its leading (K, d) view is the gradient
     # buffer; at epoch end, with the gradient spent, it holds the workers'
@@ -504,12 +505,13 @@ def run(config: RunConfig) -> RunReport:
             if config.audit_variance:
                 variance = fda_core.variance_exact(workers.params, out=grad)
 
-            h_val, common = hook(t, workers.params, exchange, sync, grad)
+            h, common = hook(t, workers.params, w_sync, exchange, sync, grad)
             synced = common is not None
             if synced:
                 syncs += 1
                 by_columns(np.copyto, workers.params, common)
-            step_records.append(synced, h_val, variance, train_loss,
+                w_sync = common
+            step_records.append(synced, h, variance, train_loss,
                                 ledger.bytes_total)
             epoch_losses.append(train_loss)
 

@@ -12,7 +12,7 @@ deterministically for the scalar-projection summary and probabilistically
 for the sketch summary.  Synchronization fires when H exceeds the
 threshold, one `VarianceMonitor` kind per summary.  They and the baseline
 policies (fixed-period local SGD and periodic server optimization) are
-`SyncStrategy` kinds: `start(w0, steps_per_epoch)` builds a run's hook.
+`SyncStrategy` kinds: `start(d, steps_per_epoch)` builds a run's hook.
 Synchronous averaging is local SGD at period 1, and a zero-threshold
 monitor runs it.
 """
@@ -151,13 +151,16 @@ def compute_xi(w_sync_now: ParamVector, w_sync_prev: ParamVector) -> Xi:
 
 # --- synchronization strategies -------------------------------------------
 
-# hook(t, (K, d) worker params, exchange, sync, (K, d) scratch) -> (H or
-# None, new common model or None).  exchange(state) bills one LocalState of
-# K workers, which already holds their mean summary, and returns it;
-# sync(rows) bills a (K, d) matrix and returns its mean row.  The hook reads
-# the params and must not keep or modify them; it may overwrite the scratch
-# matrix, whose entries mean nothing, during its own call only.
-StepHook = Callable[[int, np.ndarray, Callable[[LocalState], LocalState],
+# hook(t, (K, d) worker params, (d,) w_sync, exchange, sync, (K, d)
+# scratch) -> (H or None, new common model or None).  The run holds the sync
+# point w_sync: the initial model, then each model the hook returns.
+# exchange(state) bills one LocalState of K workers, which already holds
+# their mean summary, and returns it; sync(rows) bills a (K, d) matrix and
+# returns its mean row.  The hook reads the params and w_sync and must not
+# keep or modify them; it may overwrite the scratch matrix, whose entries
+# mean nothing, during its own call only.
+StepHook = Callable[[int, np.ndarray, ParamVector,
+                     Callable[[LocalState], LocalState],
                      Callable[[np.ndarray], ParamVector], np.ndarray],
                     tuple[Optional[float], Optional[ParamVector]]]
 
@@ -170,7 +173,7 @@ class SyncStrategy(Node):
     tag = "kind"
     kind: ClassVar[str]
 
-    def start(self, w0: ParamVector, steps_per_epoch: int) -> StepHook:
+    def start(self, d: int, steps_per_epoch: int) -> StepHook:
         raise NotImplementedError
 
 
@@ -188,15 +191,15 @@ class VarianceMonitor:
     def __post_init__(self) -> None:
         ensure(self.theta >= 0, "theta must be >= 0")
 
-    def start(self, w0, steps_per_epoch):
+    def start(self, d, steps_per_epoch):
         if self.theta == 0:
-            return Synchronous().start(w0, steps_per_epoch)
-        make_state, h_of = self.monitor(w0.size)
-        theta, reads_xi, w_sync = self.theta, self.reads_xi, w0
+            return Synchronous().start(d, steps_per_epoch)
+        make_state, h_of = self.monitor(d)
+        theta, reads_xi = self.theta, self.reads_xi
         xi: Xi = None
 
-        def hook(t, params, exchange, sync, scratch):
-            nonlocal xi, w_sync
+        def hook(t, params, w_sync, exchange, sync, scratch):
+            nonlocal xi
             by_columns(np.subtract, params, w_sync, scratch)
             h = h_of(exchange(make_state(scratch, xi)))
             if not h > theta:
@@ -204,7 +207,6 @@ class VarianceMonitor:
             mean = sync(params)
             if reads_xi:
                 xi = compute_xi(mean, w_sync)
-            w_sync = mean
             return h, mean
 
         return hook
@@ -249,8 +251,8 @@ class LocalSgd(SyncStrategy):
     def __post_init__(self) -> None:
         ensure(self.tau >= 1, "tau must be >= 1")
 
-    def start(self, w0, steps_per_epoch):
-        def hook(t, params, exchange, sync, scratch):
+    def start(self, d, steps_per_epoch):
+        def hook(t, params, w_sync, exchange, sync, scratch):
             return None, None if t % self.tau else sync(params)
         return hook
 
@@ -288,18 +290,14 @@ class FedOpt(SyncStrategy):
                f"unknown server optimizer {self.server.kind!r}")
         ensure(not self.server.nesterov, "the server takes no nesterov")
 
-    def start(self, w0, steps_per_epoch):
+    def start(self, d, steps_per_epoch):
         period = self.local_epochs * steps_per_epoch
-        state = self.server.build(w0.shape)
-        w_global = w0
+        state = self.server.build(d)
 
-        def hook(t, params, exchange, sync, scratch):
-            nonlocal w_global
+        def hook(t, params, w_sync, exchange, sync, scratch):
             if t % period:
                 return None, None
-            by_columns(np.subtract, params, w_global, scratch)
-            delta = sync(scratch)
-            w_global = apply_gradient(state, w_global.copy(), -delta)
-            return None, w_global
+            by_columns(np.subtract, params, w_sync, scratch)
+            return None, apply_gradient(state, w_sync.copy(), -sync(scratch))
 
         return hook

@@ -32,6 +32,7 @@ WORKERS = ROOT / "experiments" / "workers"
 SEEDS = ROOT / "experiments" / "seeds"
 BASELINES = ROOT / "experiments" / "baselines"
 BASELINES_SKEW = ROOT / "experiments" / "baselines-skew"
+BASELINES_SEEDS = ROOT / "experiments" / "baselines-seeds"
 
 
 BLOBS = {"kind": "blobs", "n": 400, "p": 6, "classes": 3, "test_n": 200}
@@ -1007,6 +1008,11 @@ def test_committed_baselines_skew_rows_are_current(tmp_path):
         BASELINES_SKEW, ["label-0-local-sgd-tau-00100.yaml"], tmp_path)
 
 
+def test_committed_baselines_seeds_rows_are_current(tmp_path):
+    assert_committed_rows_are_current(
+        BASELINES_SEEDS, ["seed-30122-local-sgd-tau-00280.yaml"], tmp_path)
+
+
 @pytest.mark.parametrize(
     "grid", [p for p in sorted((ROOT / "experiments").iterdir())
              if p.is_dir()], ids=lambda p: p.name)
@@ -1055,26 +1061,64 @@ def test_readme_result_tables_match_the_committed_csvs():
         assert shown == committed, out
 
 
+def paired_cells(grid):
+    """{seed: {cell: (bytes_total, steps)}} of a grid of configs named
+    seed-NNNNN-<cell>.yaml at five run seeds, each run reaching the
+    target."""
+    by_seed = {}
+    with open(grid / "sweep.csv") as f:
+        for r in csv.DictReader(f):
+            assert (r["status"], r["reached_target"]) == ("ok", "True")
+            cell = r["config"].split("-", 2)[2].removesuffix(".yaml")
+            by_seed.setdefault(r["seed"], {})[cell] = \
+                (int(r["bytes_total"]), int(r["steps"]))
+    assert len(by_seed) == 5
+    return by_seed.values()
+
+
+def spread(ratios):
+    """The median and range of paired ratios, as the README states them."""
+    return (f"median {statistics.median(ratios):.3g}×, range "
+            f"{min(ratios):.3g}–{max(ratios):.3g}×")
+
+
+# A cell of the paired-seed baseline grid and its name in the README.
+PAIRED_BASELINES = {"local-sgd-tau-00280": "local-sgd τ = 280",
+                    "local-sgd-tau-01000": "local-sgd τ = 1,000",
+                    "fedavgm-e01": "FedAvgM E = 1",
+                    "never-sync": "never-sync"}
+
+
 def test_paired_seed_byte_ratios_hold_on_every_seed():
     # The README's paired ratios: synchronous and sketch-fda each move more
     # bytes than linear-fda on every seed of the committed grid, so a
     # re-sweep that flips a sign, or moves a stated figure, fails here.
-    by_seed = {}
-    with open(SEEDS / "sweep.csv") as f:
-        for r in csv.DictReader(f):
-            assert (r["status"], r["reached_target"]) == ("ok", "True")
-            by_seed.setdefault(r["seed"], {})[r["strategy.kind"]] = \
-                int(r["bytes_total"])
-    assert len(by_seed) == 5
     section = " ".join(readme_results().split())
+    seeds = paired_cells(SEEDS)
     for kind in ("synchronous", "sketch-fda"):
-        ratios = [b[kind] / b["linear-fda"] for b in by_seed.values()]
+        ratios = [b[kind][0] / b["linear-fda"][0] for b in seeds]
         assert min(ratios) > 1, kind
-        stated = (f"- {kind} ÷ linear-fda: median "
-                  f"{statistics.median(ratios):.3g}×, range "
-                  f"{min(ratios):.3g}–{max(ratios):.3g}×, more bytes on "
+        stated = (f"- {kind} ÷ linear-fda: {spread(ratios)}, more bytes on "
                   f"{len(ratios)} of {len(ratios)} seeds")
         assert stated in section
+    # The baselines against linear-fda, seed by seed: bytes as linear-fda's
+    # over theirs, steps as theirs over linear-fda's.
+    baselines = paired_cells(BASELINES_SEEDS)
+    for cell, name in PAIRED_BASELINES.items():
+        sent = [b[cell][0] for b in baselines]
+        if any(sent):
+            ratios = [b["linear-fda"][0] / b[cell][0] for b in baselines]
+            fewer = sum(r > 1 for r in ratios)
+            bytes_stated = (f"fewer bytes on {fewer} of 5 seeds, linear-fda "
+                            f"÷ its bytes {spread(ratios)}")
+        else:
+            bytes_stated = "0 bytes on 5 of 5 seeds"
+        steps = [b[cell][1] / b["linear-fda"][1] for b in baselines]
+        stated = (f"- {name}: {bytes_stated}; its steps ÷ linear-fda's "
+                  f"{spread(steps)}, fewer on {sum(r < 1 for r in steps)}, "
+                  f"as many on {steps.count(1)} and more on "
+                  f"{sum(r > 1 for r in steps)} of 5 seeds")
+        assert stated in section, name
 
 
 # --- command line -----------------------------------------------------------

@@ -467,8 +467,8 @@ class SyncAtSteps:
     steps: tuple = (2, 5)
     label = "sync-at-steps"
 
-    def start(self, w0, steps_per_epoch):
-        def hook(t, params, exchange, sync, scratch):
+    def start(self, d, steps_per_epoch):
+        def hook(t, params, w_sync, exchange, sync, scratch):
             if t not in self.steps:
                 return None, None
             return None, sync(params)
@@ -482,6 +482,43 @@ def test_run_accepts_any_strategy_with_a_step_hook():
     d = report.final_mean_params.size
     assert report.ledger.bytes_sync == 2 * 3 * 4 * d
     assert report.ledger.bytes_state == 0
+
+
+@dataclasses.dataclass(frozen=True)
+class RecordSyncPoints(SyncAtSteps):
+    """`SyncAtSteps` that notes the w_sync of every call and each model it
+    returns, step by step, in two shared lists."""
+
+    seen: list = dataclasses.field(default_factory=list)
+    returned: list = dataclasses.field(default_factory=list)
+
+    def start(self, d, steps_per_epoch):
+        inner = super().start(d, steps_per_epoch)
+
+        def hook(t, params, w_sync, exchange, sync, scratch):
+            self.seen.append(w_sync.copy())
+            h, common = inner(t, params, w_sync, exchange, sync, scratch)
+            self.returned.append(common)
+            return h, common
+        return hook
+
+
+def test_run_passes_the_initial_model_then_each_returned_model():
+    strategy = RecordSyncPoints(steps=(2, 5, 9))
+    cfg = blobs_config(strategy, workers=3, max_epochs=1, seed=23)
+    report = cs.run(cfg)
+    train, _ = cfg.dataset.load(cfg.seed)
+    w0 = learner.init_model("logistic", train.p, train.num_classes,
+                            seed=cs.derive_seed(cfg.seed, cs._SEED_INIT))
+    assert len(strategy.seen) == report.final_steps > 9
+    expected = w0.params
+    for t, (seen, common) in enumerate(
+            zip(strategy.seen, strategy.returned), start=1):
+        np.testing.assert_array_equal(seen, expected, err_msg=f"step {t}")
+        assert (common is not None) == (t in strategy.steps)
+        if common is not None:
+            assert not np.array_equal(common, expected)
+            expected = common
 
 
 def test_fedopt_with_adam_server_runs():

@@ -415,9 +415,10 @@ def test_compute_xi_unit_norm():
 
 # --- sync policies ----------------------------------------------------------
 
-# Two workers whose drifts from w0 = 0 are e1 and e2.  Before any sync xi
-# is absent, so H = mean ||u||^2 = 1.
+# Two workers whose drifts from the sync point w0 = 0 are e1 and e2.
+# Before any sync xi is absent, so H = mean ||u||^2 = 1.
 TWO_DRIFTS = np.array([[1.0, 0.0], [0.0, 1.0]])
+W0 = np.zeros(2)
 
 
 def recording_calls(calls):
@@ -440,15 +441,15 @@ def scratch_like(params):
 
 def step_once(strategy, params):
     calls = []
-    hook = strategy.start(np.zeros(len(params[0])), 1)
-    h, common = hook(1, params, *recording_calls(calls),
+    hook = strategy.start(len(params[0]), 1)
+    h, common = hook(1, params, W0, *recording_calls(calls),
                      scratch_like(params))
     return h, common, calls
 
 
 def synced_steps(hook, steps):
     return [t for t in range(1, steps + 1)
-            if hook(t, TWO_DRIFTS, *recording_calls([]),
+            if hook(t, TWO_DRIFTS, W0, *recording_calls([]),
                     scratch_like(TWO_DRIFTS))[1] is not None]
 
 
@@ -478,10 +479,10 @@ def test_should_sync_zero_theta_fires_on_any_positive_h():
 
 
 def test_should_sync_synchronous_always():
-    hook = Synchronous().start(np.zeros(2), 1)
+    hook = Synchronous().start(2, 1)
     for t in range(1, 4):
         calls = []
-        h, common = hook(t, TWO_DRIFTS, *recording_calls(calls),
+        h, common = hook(t, TWO_DRIFTS, W0, *recording_calls(calls),
                          scratch_like(TWO_DRIFTS))
         assert h is None and calls == ["sync"]
         np.testing.assert_array_equal(common, [0.5, 0.5])
@@ -508,12 +509,12 @@ def test_a_variant_picks_its_own_kind_and_its_subclasses_kinds():
 
 
 def test_should_sync_local_sgd_counter():
-    hook = LocalSgd(tau=4).start(np.zeros(2), 10)
+    hook = LocalSgd(tau=4).start(2, 10)
     assert synced_steps(hook, 12) == [4, 8, 12]
 
 
 def test_should_sync_fedopt_epoch_boundary():
-    hook = FedOpt(local_epochs=2).start(np.zeros(2), steps_per_epoch=10)
+    hook = FedOpt(local_epochs=2).start(2, steps_per_epoch=10)
     assert synced_steps(hook, 45) == [20, 40]
 
 
@@ -556,11 +557,12 @@ def test_hooks_send_states_to_exchange_and_matrices_to_sync(strategy):
         calls.append("sync")
         return vecmath.average(rows)
 
-    hook = strategy.start(common, 2)
+    hook = strategy.start(d, 2)
     synced = []
     for t, scale in enumerate([0.01, 10.0] * 2, start=1):
         params = common + scale * rng.standard_normal((k, d))
-        _, new_common = hook(t, params, exchange, sync, scratch_like(params))
+        _, new_common = hook(t, params, common, exchange, sync,
+                             scratch_like(params))
         synced.append(new_common is not None)
         if new_common is not None:
             common = new_common
@@ -572,12 +574,39 @@ def test_hooks_send_states_to_exchange_and_matrices_to_sync(strategy):
     assert calls.count("sync") == sum(synced)
 
 
+@pytest.mark.parametrize("strategy", EVERY_KIND.values(), ids=EVERY_KIND)
+def test_hooks_read_the_sync_point_the_run_passes(strategy):
+    # The run holds the common model: a monitor's drifts and FedOpt's
+    # pseudo-gradient are taken from the w_sync of the call, while local
+    # SGD and synchronous averaging never read it.  Step 2 is a sync step
+    # of every fixed-period kind here.
+    k, d = 3, 5
+    rng = np.random.default_rng(19)
+    params = rng.standard_normal((k, d))
+    near, far = params.mean(axis=0), rng.standard_normal(d)
+    (h_near, common_near), (h_far, common_far) = (
+        strategy.start(d, 1)(2, params, w_sync, *recording_calls([]),
+                             scratch_like(params))
+        for w_sync in (near, far))
+    if getattr(strategy, "theta", 0) > 0:
+        assert h_near != h_far
+    elif isinstance(strategy, FedOpt):
+        assert h_near is h_far is None
+        assert not np.array_equal(common_near, common_far)
+    else:
+        assert h_near is h_far is None
+        np.testing.assert_array_equal(common_near, params.mean(axis=0))
+        np.testing.assert_array_equal(common_far, common_near)
+
+
 def test_start_builds_fresh_monitor_state():
     strategy = LinearFda(theta=0.6)
-    hook = strategy.start(np.zeros(2), 1)
+    hook = strategy.start(2, 1)
     scratch = scratch_like(TWO_DRIFTS)
-    hook(1, TWO_DRIFTS, *recording_calls([]), scratch)  # moves xi and w_sync
-    h_after_sync, _ = hook(2, TWO_DRIFTS, *recording_calls([]), scratch)
+    # The first call syncs, so xi moves and the run's w_sync is its model.
+    _, w_sync = hook(1, TWO_DRIFTS, W0, *recording_calls([]), scratch)
+    h_after_sync, _ = hook(2, TWO_DRIFTS, w_sync, *recording_calls([]),
+                           scratch)
     h_fresh, _, _ = step_once(strategy, TWO_DRIFTS)
     assert h_after_sync == pytest.approx(0.5)
     assert h_fresh == 1.0
@@ -599,16 +628,20 @@ def test_hooks_build_the_drift_in_scratch(strategy, syncs, quiet):
     w0 = rng.standard_normal(d)
     params = w0 + rng.standard_normal((k, d))
     scratch = np.empty((k, d))
-    hook = strategy.start(w0, 1)
+    hook = strategy.start(d, 1)
+    w_sync = w0
     peaks, synced = [], []
     tracemalloc.start()
     try:
         for t in range(1, 4):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _, common = hook(t, params, *recording_calls([]), scratch)
+            _, common = hook(t, params, w_sync, *recording_calls([]),
+                             scratch)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             synced.append(common is not None)
+            if common is not None:
+                w_sync = common
     finally:
         tracemalloc.stop()
     assert synced == [syncs] * 3
@@ -644,8 +677,9 @@ def test_validate_strategy():
 
 def server_round(strategy, w_global, params):
     """Run one FedOpt round from `w_global` on the (K, d) worker models."""
-    hook = strategy.start(w_global, 1)
-    h, common = hook(1, params, *recording_calls([]), scratch_like(params))
+    hook = strategy.start(w_global.size, 1)
+    h, common = hook(1, params, w_global, *recording_calls([]),
+                     scratch_like(params))
     assert h is None
     return common
 
@@ -677,11 +711,12 @@ def test_fedopt_momentum_matches_recurrence():
     rng = np.random.default_rng(12)
     w = rng.standard_normal(d)
     deltas = [rng.standard_normal(d) for _ in range(3)]
-    hook = FedOpt().start(w, 1)
+    hook = FedOpt().start(d, 1)
     got = w
     for t, delta in enumerate(deltas, start=1):
         params = (got + delta)[None]
-        _, got = hook(t, params, *recording_calls([]), scratch_like(params))
+        _, got = hook(t, params, got, *recording_calls([]),
+                      scratch_like(params))
     vel = np.zeros(d)
     expected = w
     for delta in deltas:

@@ -120,6 +120,30 @@ def test_importing_the_package_first_caps_blas_at_one_thread():
         assert proc.stdout.strip() == expected
 
 
+@pytest.mark.parametrize("imports, given, warns", [
+    ("numpy, dynavg", None, True), ("dynavg, numpy", None, False),
+    ("numpy, dynavg", "1", False)],
+    ids=["numpy-first", "dynavg-first", "count-set"])
+def test_importing_numpy_first_without_a_blas_count_warns(imports, given,
+                                                          warns):
+    # The cap cannot take once numpy has loaded BLAS, so bytes at d > 10^4
+    # may differ from `dynavg run`: the import says so, once.
+    script = (f"import sys; sys.path.insert(0, {str(TESTS.parent / 'src')!r})"
+              f"; import {imports}")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", script],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    warned = proc.stderr.count("RuntimeWarning: numpy was imported before "
+                               "dynavg")
+    assert warned == warns
+    if warns:
+        assert "one-thread BLAS cap cannot take effect" in proc.stderr
+        assert "may give other bytes than `dynavg run`" in proc.stderr
+
+
 # The acceptance blobs runs (tests/conftest.py) of both blobs benchmark
 # workloads: linear-fda, and sketch-fda with the audit.
 BLOBS_SCRIPT = """
