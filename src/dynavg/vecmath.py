@@ -17,6 +17,7 @@ bytes do not depend on how many lanes ran.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from functools import partial
 from typing import Callable, Optional
@@ -33,35 +34,30 @@ LANE_MIN_ENTRIES = 1 << 18
 
 
 class _Lane:
-    """The helper thread: it runs one block for `split` at a time."""
+    """The helper thread: it takes (fn, lo, hi) blocks from one queue and
+    answers each on another with None or the block's error."""
 
     def __init__(self) -> None:
         self.gate = threading.Lock()  # held by the `split` using the lane
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._task = self._error = None
+        self._blocks, self._ends = queue.SimpleQueue(), queue.SimpleQueue()
         threading.Thread(target=self._serve, name="dynavg-lane",
                          daemon=True).start()
 
     def _serve(self) -> None:
         while True:
-            self._go.acquire()
-            fn, lo, hi = self._task
+            fn, lo, hi = self._blocks.get()
             try:
                 fn(lo, hi)
             except BaseException as exc:  # re-raised by `join`
-                self._error = exc
-            self._task = None
-            self._done.release()
+                self._ends.put(exc)
+            else:
+                self._ends.put(None)
 
     def start(self, fn: Callable[[int, int], object], lo: int, hi: int) -> None:
-        self._task = (fn, lo, hi)
-        self._go.release()
+        self._blocks.put((fn, lo, hi))
 
     def join(self) -> None:
-        self._done.acquire()
-        error, self._error = self._error, None
+        error = self._ends.get()
         if error is not None:
             raise error
 
@@ -161,7 +157,7 @@ def _add_rows(m, out: Optional[np.ndarray],
     if out is None:
         out = np.empty_like(m[0])
     # K numbers (a 0-d out) add along their one axis: no column to split.
-    if out.ndim == 0 or m.size < LANE_MIN_ENTRIES:
+    if out.ndim == 0:
         _add_into(divisor, m, out)
     else:
         by_columns(partial(_add_into, divisor), m, out)

@@ -1,7 +1,11 @@
 import functools
 import operator
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,55 @@ def test_split_reraises_the_helpers_error_once_both_blocks_ended(lanes):
     calls = []
     vecmath.split(record(calls), 2, 2)  # the helper is free again
     assert sorted(c[:2] for c in calls) == [(0, 1), (1, 2)]
+
+
+def test_split_raises_the_helpers_error_with_the_main_lanes_as_context(
+        lanes):
+    def fn(lo, hi):
+        raise (ZeroDivisionError("helper block") if lo
+               else KeyError("main block"))
+
+    with pytest.raises(ZeroDivisionError, match="helper block") as caught:
+        vecmath.split(fn, 4, 4)
+    assert isinstance(caught.value.__context__, KeyError)
+    calls = []
+    vecmath.split(record(calls), 2, 2)  # the helper is free again
+    here = threading.get_ident()
+    assert sorted((lo, hi, ident == here) for lo, hi, ident in calls) == [
+        (0, 1, True), (1, 2, False)]
+
+
+# A forked child has no helper thread: its first split must start its own
+# (on any CPU count) and run both blocks, where reusing the parent's helper
+# would wait until the child's alarm ends it.
+FORK_SCRIPT = """
+import os, signal, sys, threading
+sys.path.insert(0, {src!r})
+from dynavg import vecmath
+os.sched_getaffinity = lambda pid: {{0, 1}}
+vecmath.LANE_MIN_ENTRIES = 1
+vecmath.split(lambda lo, hi: None, 2, 2)
+parent_lane = vecmath._lane
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    calls = []
+    vecmath.split(lambda lo, hi: calls.append((lo, hi, threading.get_ident())),
+                  2, 2)
+    ok = (vecmath._lane not in (None, parent_lane)
+          and sorted(c[:2] for c in calls) == [(0, 1), (1, 2)]
+          and len({{c[2] for c in calls}}) == 2)
+    os._exit(0 if ok else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT.format(src=src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_split_inside_a_block_runs_in_one_call(lanes):
